@@ -2,9 +2,9 @@
 
 use cps_core::osd::baselines;
 use cps_core::{DeltaEvaluator, EvalOptions};
-use cps_field::delta::surface_delta_rms_with;
 use cps_field::par::map_rows;
-use cps_field::{delta, Field, Kernel, Parallelism, PeaksField, PlaneField, ReconstructedSurface};
+use cps_field::raster::delta_rms_raster;
+use cps_field::{delta, Field, Parallelism, PeaksField, PlaneField, ReconstructedSurface};
 use cps_geometry::{GridSpec, Rect};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -101,8 +101,10 @@ fn bench_incremental_move(c: &mut Criterion) {
     group.finish();
 }
 
-/// Raster scanline kernel vs legacy per-cell walk on the full δ+RMS
-/// evaluation, across grid resolutions.
+/// Raster scanline kernel vs the generic per-cell quadrature pair
+/// (`volume_difference_with` + `rms_difference_with`, a locate walk
+/// per cell and sweep) on the full δ+RMS evaluation, across grid
+/// resolutions.
 fn bench_kernels(c: &mut Criterion) {
     let region = Rect::square(100.0).unwrap();
     let f = PeaksField::new(region, 8.0);
@@ -115,11 +117,17 @@ fn bench_kernels(c: &mut Criterion) {
         let grid = GridSpec::new(region, resolution, resolution).unwrap();
         let mut group = c.benchmark_group(format!("delta_rms_{resolution}x{resolution}"));
         group.sample_size(if resolution >= 401 { 10 } else { 20 });
-        for (label, kernel) in [("walk", Kernel::Walk), ("raster", Kernel::Raster)] {
-            group.bench_function(label, |b| {
-                b.iter(|| surface_delta_rms_with(&f, &g, &grid, serial, kernel))
-            });
-        }
+        group.bench_function("walk", |b| {
+            b.iter(|| {
+                (
+                    delta::volume_difference_with(&f, &g, &grid, serial),
+                    delta::rms_difference_with(&f, &g, &grid, serial),
+                )
+            })
+        });
+        group.bench_function("raster", |b| {
+            b.iter(|| delta_rms_raster(&f, &g, &grid, serial))
+        });
         group.finish();
     }
 }

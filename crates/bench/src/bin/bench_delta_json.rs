@@ -1,15 +1,17 @@
 //! Emits `BENCH_delta.json`: wall-clock timings of the δ quadrature
 //! (Eqn. 2) on the row-sharded parallel engine, serial vs 2/4/auto
-//! threads, plus the raster-vs-walk kernel comparison and the
-//! persistent-pool dispatch overhead.
+//! threads, plus the raster kernel against the generic per-cell
+//! quadrature and the persistent-pool dispatch overhead.
 //!
 //! The workload is the hot path the engine was built for: δ between an
 //! analytic reference and a Delaunay [`ReconstructedSurface`] (every
-//! grid point costs a triangle walk — or, on the raster kernel, one
-//! incremental scanline fill per alive triangle) on a 201×201 grid
-//! with 150 nodes. Results are checked bit-identical across thread
-//! counts before any timing is reported, and the two kernels are
-//! cross-checked to within 1e-9.
+//! grid point costs a triangle walk in the generic quadrature, or one
+//! incremental scanline fill per alive triangle on the raster kernel)
+//! on a 201×201 grid with 150 nodes. Results are checked bit-identical
+//! across thread counts before any timing is reported, and the two
+//! paths are cross-checked to within 1e-9. The `walk` labels in the
+//! JSON name the generic quadrature pair
+//! (`volume_difference_with` + `rms_difference_with`).
 //!
 //! Besides the current timings the file carries a `trajectory` array:
 //! one point per recorded run (kernel, threads, git SHA, median),
@@ -32,9 +34,9 @@ use std::time::Instant;
 
 use cps_core::osd::baselines;
 use cps_core::{DeltaEvaluator, EvalOptions};
-use cps_field::delta::surface_delta_rms_with;
 use cps_field::par::map_rows;
-use cps_field::{delta, Field, Kernel, Parallelism, PeaksField, ReconstructedSurface};
+use cps_field::raster::delta_rms_raster;
+use cps_field::{delta, Field, Parallelism, PeaksField, ReconstructedSurface};
 use cps_field::{GaussianBlob, Static};
 use cps_geometry::{GridSpec, Point2, Rect};
 use cps_sim::sweep::{run_sweep, SweepJob, SweepSpec};
@@ -222,15 +224,9 @@ fn main() {
     ];
 
     // Determinism gate: every policy must reproduce the serial bits,
-    // on both kernels independently.
+    // on both paths independently.
     let expected = delta::volume_difference(&reference, &rebuilt, &grid);
-    let expected_raster = surface_delta_rms_with(
-        &reference,
-        &rebuilt,
-        &grid,
-        Parallelism::serial(),
-        Kernel::Raster,
-    );
+    let expected_raster = delta_rms_raster(&reference, &rebuilt, &grid, Parallelism::serial());
     for (label, par) in policies {
         let got = delta::volume_difference_with(&reference, &rebuilt, &grid, par);
         assert_eq!(
@@ -238,7 +234,7 @@ fn main() {
             got.to_bits(),
             "{label} diverged from serial"
         );
-        let got = surface_delta_rms_with(&reference, &rebuilt, &grid, par, Kernel::Raster);
+        let got = delta_rms_raster(&reference, &rebuilt, &grid, par);
         assert_eq!(
             expected_raster.delta.to_bits(),
             got.delta.to_bits(),
@@ -247,7 +243,7 @@ fn main() {
     }
     assert!(
         (expected_raster.delta - expected).abs() <= 1e-9 * expected.abs().max(1.0),
-        "kernels disagree: raster {} walk {expected}",
+        "raster {} disagrees with the generic quadrature {expected}",
         expected_raster.delta
     );
 
@@ -470,9 +466,10 @@ fn bench_sweep() -> SweepEntry {
 }
 
 /// Times the full δ+RMS evaluation — the quantity the evaluator
-/// actually computes — on both kernels across grid resolutions. The
-/// walk pays one point-location walk per grid cell twice (δ sweep and
-/// RMS sweep); the raster kernel fuses both into one scanline pass.
+/// actually computes — on the raster kernel and on the generic
+/// quadrature pair across grid resolutions. The generic pair pays one
+/// point-location walk per grid cell twice (δ sweep and RMS sweep);
+/// the raster kernel fuses both into one scanline pass.
 fn bench_kernels() -> Vec<KernelEntry> {
     [101usize, 201, 401]
         .iter()
@@ -481,22 +478,28 @@ fn bench_kernels() -> Vec<KernelEntry> {
             let reps = if resolution >= 401 { 5 } else { REPS };
             let (reference, grid, rebuilt) = workload(resolution);
             let serial = Parallelism::serial();
-            let walk = surface_delta_rms_with(&reference, &rebuilt, &grid, serial, Kernel::Walk);
-            let raster =
-                surface_delta_rms_with(&reference, &rebuilt, &grid, serial, Kernel::Raster);
-            let rel_diff = (raster.delta - walk.delta).abs() / walk.delta.abs().max(1.0);
+            let walk = || {
+                (
+                    delta::volume_difference_with(&reference, &rebuilt, &grid, serial),
+                    delta::rms_difference_with(&reference, &rebuilt, &grid, serial),
+                )
+            };
+            let raster = || delta_rms_raster(&reference, &rebuilt, &grid, serial);
+            let (walk_delta, _) = walk();
+            let raster_delta = raster().delta;
+            let rel_diff = (raster_delta - walk_delta).abs() / walk_delta.abs().max(1.0);
             assert!(rel_diff <= 1e-9, "kernels diverged at {resolution}");
             for _ in 0..WARMUP {
-                surface_delta_rms_with(&reference, &rebuilt, &grid, serial, Kernel::Raster);
+                raster();
             }
             let raster_median_ns = median_ns(reps, || {
-                surface_delta_rms_with(&reference, &rebuilt, &grid, serial, Kernel::Raster);
+                raster();
             });
             for _ in 0..WARMUP.min(1) {
-                surface_delta_rms_with(&reference, &rebuilt, &grid, serial, Kernel::Walk);
+                walk();
             }
             let walk_median_ns = median_ns(reps, || {
-                surface_delta_rms_with(&reference, &rebuilt, &grid, serial, Kernel::Walk);
+                walk();
             });
             KernelEntry {
                 resolution,

@@ -135,3 +135,37 @@ fn helpful_failures() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage: cps"));
 }
+
+#[test]
+fn resume_refuses_snapshots_of_an_older_format() {
+    // A checkpoint directory holding only a version 1 snapshot: the run
+    // exists, so --resume must fail with the version error instead of
+    // silently starting fresh.
+    let dir = scratch("old_snapshot");
+    let ckpt = dir.join("ckpt");
+    std::fs::create_dir_all(&ckpt).unwrap();
+    std::fs::write(
+        ckpt.join("snap-000000000010.cpsnap"),
+        "CPSSNAP 1 0000000000000000 2\n{}",
+    )
+    .unwrap();
+    let out = cps()
+        .args([
+            "simulate",
+            "--minutes",
+            "12",
+            "--checkpoint-dir",
+            ckpt.to_str().unwrap(),
+            "--resume",
+            "on",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("snapshot format version 1 is not supported"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

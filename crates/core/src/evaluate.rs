@@ -6,8 +6,9 @@
 //! the thread policy, survivor-mask graceful degradation, and the
 //! incremental tile cache ([`cps_field::DeltaCache`]).
 
+use cps_field::raster::delta_rms_raster;
 use cps_field::{
-    delta, DeltaCache, Field, FieldError, Kernel, Parallelism, PlaneField, ReconstructedSurface,
+    delta, DeltaCache, Field, FieldError, Parallelism, PlaneField, ReconstructedSurface,
 };
 use cps_geometry::{GridSpec, Point2};
 use cps_network::UnitDiskGraph;
@@ -37,21 +38,14 @@ pub struct EvalOptions {
     /// thread count; this only changes wall-clock time.
     pub parallelism: Parallelism,
     /// Whether δ quadratures go through the incremental tile cache
-    /// ([`cps_field::DeltaCache`]) instead of re-walking the full grid.
+    /// ([`cps_field::DeltaCache`]) instead of re-sweeping the full grid.
     /// Off by default; pays off when the same evaluator sees a sequence
     /// of slowly changing deployments against a static reference.
     pub cached: bool,
-    /// Which quadrature kernel grid sweeps run:
-    /// [`Kernel::Raster`] (default) planes each alive triangle once and
-    /// DDA-sweeps its row spans; [`Kernel::Walk`] locates the
-    /// containing triangle per grid cell (the original path). Both
-    /// agree within 1e-9 (relative) and each is bit-identical across
-    /// thread counts.
-    pub kernel: Kernel,
 }
 
 impl EvalOptions {
-    /// The defaults: [`Parallelism::auto`], cache off, raster kernel.
+    /// The defaults: [`Parallelism::auto`], cache off.
     pub fn new() -> Self {
         EvalOptions::default()
     }
@@ -67,12 +61,6 @@ impl EvalOptions {
         self.cached = cached;
         self
     }
-
-    /// Selects the quadrature kernel.
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
 }
 
 impl Default for EvalOptions {
@@ -80,7 +68,6 @@ impl Default for EvalOptions {
         EvalOptions {
             parallelism: Parallelism::auto(),
             cached: false,
-            kernel: Kernel::Raster,
         }
     }
 }
@@ -103,8 +90,8 @@ impl Default for EvalOptions {
 /// is on: the tile cache persists across [`evaluate`](DeltaEvaluator::evaluate)
 /// calls, so a sequence of slowly changing deployments re-integrates
 /// only the tiles whose reconstruction triangles changed. Cached and
-/// uncached results agree within 1e-9 (relative); the uncached path is
-/// bit-identical to the legacy functions at any thread count.
+/// uncached results agree within 1e-9 (relative), and each is
+/// bit-identical at any thread count.
 ///
 /// # Example
 ///
@@ -164,12 +151,6 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
     /// Turns the incremental tile cache on or off.
     pub fn cached(mut self, cached: bool) -> Self {
         self.opts.cached = cached;
-        self
-    }
-
-    /// Selects the quadrature kernel (raster by default).
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.opts.kernel = kernel;
         self
     }
 
@@ -256,13 +237,7 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
                 let (delta, rms) = if self.opts.cached {
                     self.cached_quadrature(&surface)
                 } else {
-                    let totals = delta::surface_delta_rms_with(
-                        self.reference,
-                        &surface,
-                        &self.grid,
-                        par,
-                        self.opts.kernel,
-                    );
+                    let totals = delta_rms_raster(self.reference, &surface, &self.grid, par);
                     (totals.delta, totals.rms)
                 };
                 Ok(DeploymentEvaluation {
@@ -301,7 +276,7 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
             }
             _ => DeltaCache::new(self.reference, &self.grid, par),
         };
-        let totals = cache.refresh_with_kernel(surface, par, self.opts.kernel);
+        let totals = cache.refresh(surface, par);
         self.cache = Some(cache);
         (totals.delta, totals.rms)
     }

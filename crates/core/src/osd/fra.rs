@@ -22,6 +22,7 @@
 //! samples makes the greedy systematically blind to border error; see
 //! DESIGN.md for the measurement that motivated the change.
 
+use cps_field::raster::delta_rms_raster;
 use cps_field::{delta, DeltaCache, Field, Parallelism, ReconstructedSurface};
 use cps_geometry::{GridSpec, Point2, Triangulation};
 use cps_network::{RelayPlan, UnitDiskGraph};
@@ -177,10 +178,9 @@ impl FraBuilder {
         let mut zs: Vec<f64> = Vec::new();
 
         let par = self.opts.parallelism;
-        let kernel = self.opts.kernel;
         // Lines 2–3: the full local-error array, swept on the parallel
         // evaluation engine (bit-identical at any thread count).
-        let mut errors = LocalErrorGrid::new_kernel_with(grid, reference, &dt, &zs, par, kernel);
+        let mut errors = LocalErrorGrid::new(grid, reference, &dt, &zs, par);
 
         let mut chosen: Vec<Point2> = Vec::with_capacity(self.k);
         let mut refined = 0usize;
@@ -296,25 +296,16 @@ impl FraBuilder {
                     zs.push(reference.value(p));
                     if hull_grows {
                         cps_obs::count(cps_obs::Counter::FullGridRecomputes);
-                        errors.recompute_region_kernel(
-                            rect.min(),
-                            rect.max(),
-                            reference,
-                            &dt,
-                            &zs,
-                            par,
-                            kernel,
-                        );
+                        errors.recompute_region(rect.min(), rect.max(), reference, &dt, &zs, par);
                     } else if let Some((lo, hi)) = dt.last_insert_bbox() {
                         cps_obs::count(cps_obs::Counter::CavityRecomputes);
-                        errors.recompute_region_kernel(
+                        errors.recompute_region(
                             Point2::new(lo.x - margin, lo.y - margin),
                             Point2::new(hi.x + margin, hi.y + margin),
                             reference,
                             &dt,
                             &zs,
                             par,
-                            kernel,
                         );
                     }
                     if let Some(traj) = trajectory.as_mut() {
@@ -378,17 +369,9 @@ impl FraBuilder {
         let surface = ReconstructedSurface::from_triangulation(dt.clone(), zs.to_vec())?;
         if self.opts.cached {
             let c = cache.get_or_insert_with(|| DeltaCache::new(reference, grid, par));
-            Ok(c.refresh_with_kernel(&surface, par, self.opts.kernel).delta)
+            Ok(c.refresh(&surface, par).delta)
         } else {
-            Ok(match self.opts.kernel {
-                // The walk path wants δ alone — skip the rms sweep.
-                cps_field::Kernel::Walk => {
-                    delta::volume_difference_with(reference, &surface, grid, par)
-                }
-                cps_field::Kernel::Raster => {
-                    cps_field::raster::delta_rms_raster(reference, &surface, grid, par).delta
-                }
-            })
+            Ok(delta_rms_raster(reference, &surface, grid, par).delta)
         }
     }
 }

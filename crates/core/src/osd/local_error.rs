@@ -7,15 +7,19 @@
 //! after every insertion only where new triangles appeared (line 11).
 //!
 //! Recomputation is a dense grid sweep — the FRA hot path — so it runs
-//! on the row-sharded evaluation engine of [`cps_field::par`]: one
-//! point-location cache per refresh, one locate cursor per row, rows
-//! written back in order. [`LocalErrorGrid::recompute_region`] and
-//! [`LocalErrorGrid::recompute_region_with`] produce bit-identical
-//! error arrays at any thread count.
+//! on the row-sharded evaluation engine of [`cps_field::par`]. Each
+//! refresh rasterizes the surface once in *locate mode*
+//! ([`RasterPlan::fill_row_owners`]): a cell strictly inside a
+//! triangle, beyond the locate walk's orientation tolerance, takes its
+//! value from that triangle, exactly the triangle the walk would have
+//! found. Only the remaining cells (hull boundary and exterior) run
+//! the per-cell walk, behind one locate cursor per row. Rows are
+//! written back in order, so the error array is bit-identical at any
+//! thread count, and bit-identical to a per-cell walk of every point.
 
 use cps_field::par::{map_rows, Parallelism};
 use cps_field::raster::NO_OWNER;
-use cps_field::{Field, Kernel, RasterPlan};
+use cps_field::{Field, RasterPlan};
 use cps_geometry::{GridSpec, LocateCache, LocateCursor, Point2, Triangulation};
 
 /// The error grid `Err[√A][√A]` of FRA, with used-position tracking.
@@ -28,67 +32,32 @@ pub struct LocalErrorGrid {
 
 impl LocalErrorGrid {
     /// Builds the grid and computes every local error against the
-    /// current triangulated surface.
+    /// current triangulated surface, sweeping rows on `par` threads
+    /// (bit-identical at any thread count).
     ///
     /// `samples[i]` is the surface value at the triangulation's
     /// `VertexId(i)`.
-    pub fn new<F: Field>(grid: GridSpec, field: &F, dt: &Triangulation, samples: &[f64]) -> Self {
-        let mut this = LocalErrorGrid::empty(grid);
-        this.recompute_region(grid.rect().min(), grid.rect().max(), field, dt, samples);
-        this
-    }
-
-    /// Like [`LocalErrorGrid::new`], but sweeps the grid on the parallel
-    /// evaluation engine. The resulting error array is bit-identical to
-    /// the serial constructor's at any thread count.
-    pub fn new_with<F: Field + Sync>(
+    pub fn new<F: Field + Sync>(
         grid: GridSpec,
         field: &F,
         dt: &Triangulation,
         samples: &[f64],
         par: Parallelism,
     ) -> Self {
-        let mut this = LocalErrorGrid::empty(grid);
-        this.recompute_region_with(
-            grid.rect().min(),
-            grid.rect().max(),
-            field,
-            dt,
-            samples,
-            par,
-        );
-        this
-    }
-
-    /// Like [`LocalErrorGrid::new_with`] with an explicit quadrature
-    /// [`Kernel`].
-    pub fn new_kernel_with<F: Field + Sync>(
-        grid: GridSpec,
-        field: &F,
-        dt: &Triangulation,
-        samples: &[f64],
-        par: Parallelism,
-        kernel: Kernel,
-    ) -> Self {
-        let mut this = LocalErrorGrid::empty(grid);
-        this.recompute_region_kernel(
-            grid.rect().min(),
-            grid.rect().max(),
-            field,
-            dt,
-            samples,
-            par,
-            kernel,
-        );
-        this
-    }
-
-    fn empty(grid: GridSpec) -> Self {
-        LocalErrorGrid {
+        let mut this = LocalErrorGrid {
             grid,
             errors: vec![0.0; grid.len()],
             used: vec![false; grid.len()],
-        }
+        };
+        this.recompute_region(
+            grid.rect().min(),
+            grid.rect().max(),
+            field,
+            dt,
+            samples,
+            par,
+        );
+        this
     }
 
     /// The underlying grid.
@@ -161,30 +130,10 @@ impl LocalErrorGrid {
 
     /// Recomputes local errors for every grid point inside the
     /// axis-aligned box `[lo, hi]` (clipped to the grid), against the
-    /// given surface.
-    pub fn recompute_region<F: Field>(
-        &mut self,
-        lo: Point2,
-        hi: Point2,
-        field: &F,
-        dt: &Triangulation,
-        samples: &[f64],
-    ) {
-        let (i0, i1, j0, j1) = self.clip_box(lo, hi);
-        let g = self.grid;
-        let cache = dt.locate_cache();
-        for j in j0..=j1 {
-            let row = row_errors(&g, i0, i1, j, field, dt, &cache, samples);
-            self.write_row(i0, j, &row);
-        }
-    }
-
-    /// Row-parallel variant of [`LocalErrorGrid::recompute_region`]:
-    /// rows are sharded across `par.threads()` workers, each walking its
-    /// row left-to-right behind a private [`LocateCursor`], and written
-    /// back in row order — the refreshed errors are bit-identical to the
-    /// serial sweep at any thread count.
-    pub fn recompute_region_with<F: Field + Sync>(
+    /// given surface. Rows are sharded across `par.threads()` workers
+    /// and written back in row order, so the refreshed errors are
+    /// bit-identical at any thread count.
+    pub fn recompute_region<F: Field + Sync>(
         &mut self,
         lo: Point2,
         hi: Point2,
@@ -193,52 +142,13 @@ impl LocalErrorGrid {
         samples: &[f64],
         par: Parallelism,
     ) {
-        let (i0, i1, j0, j1) = self.clip_box(lo, hi);
-        let g = self.grid;
-        let cache = dt.locate_cache();
-        let cache = &cache;
-        let rows = map_rows(j1 - j0 + 1, par, |r| {
-            row_errors(&g, i0, i1, j0 + r, field, dt, cache, samples)
-        });
-        for (r, row) in rows.iter().enumerate() {
-            self.write_row(i0, j0 + r, row);
-        }
-    }
-
-    /// [`LocalErrorGrid::recompute_region_with`] with an explicit
-    /// quadrature [`Kernel`].
-    ///
-    /// Under [`Kernel::Raster`] each row's cells are attributed to
-    /// triangles by scanline spans in *locate mode*: a cell is claimed
-    /// only when it is strictly inside a triangle beyond the walk's
-    /// orientation tolerance, in which case the walk provably lands in
-    /// the same triangle and the raster error reproduces the walk's
-    /// bit-for-bit. The remaining cells (hull boundary and exterior)
-    /// run the ordinary per-cell walk/extrapolation fallback.
-    // Mirrors `recompute_region_with`, whose argument-list rationale
-    // applies here too.
-    #[allow(clippy::too_many_arguments)]
-    pub fn recompute_region_kernel<F: Field + Sync>(
-        &mut self,
-        lo: Point2,
-        hi: Point2,
-        field: &F,
-        dt: &Triangulation,
-        samples: &[f64],
-        par: Parallelism,
-        kernel: Kernel,
-    ) {
-        if kernel == Kernel::Walk {
-            return self.recompute_region_with(lo, hi, field, dt, samples, par);
-        }
         let (i0, i1, j0, j1) = self.clip_box(lo, hi);
         let g = self.grid;
         let plan = RasterPlan::build(dt, samples, &g);
         let cache = dt.locate_cache();
-        let cache = &cache;
-        let plan = &plan;
+        let (plan, cache) = (&plan, &cache);
         let rows = map_rows(j1 - j0 + 1, par, |r| {
-            row_errors_raster(&g, i0, i1, j0 + r, field, dt, cache, samples, plan)
+            row_errors(&g, i0, i1, j0 + r, field, dt, cache, samples, plan)
         });
         for (r, row) in rows.iter().enumerate() {
             self.write_row(i0, j0 + r, row);
@@ -277,44 +187,14 @@ impl LocalErrorGrid {
     }
 }
 
-/// One row of `|f − DT|` values over `i0..=i1` at row `j`, walked
-/// left-to-right behind a fresh cursor. Both the serial and the parallel
-/// sweep delegate here, which is what makes them bit-identical.
+/// One row of `|f − DT|` values over `i0..=i1` at row `j`. Cells the
+/// plan claims in locate mode interpolate from their owning triangle;
+/// the rest fall back to the per-cell walk behind a fresh cursor, and
+/// to the nearest sample outside the hull of inserted vertices.
 // The argument list is the full per-row closure environment; bundling
-// it into a struct would just move the same eight names one hop away.
+// it into a struct would just move the same names one hop away.
 #[allow(clippy::too_many_arguments)]
 fn row_errors<F: Field>(
-    g: &GridSpec,
-    i0: usize,
-    i1: usize,
-    j: usize,
-    field: &F,
-    dt: &Triangulation,
-    cache: &LocateCache,
-    samples: &[f64],
-) -> Vec<f64> {
-    let mut cursor = LocateCursor::new();
-    (i0..=i1)
-        .map(|i| {
-            let p = g.point(i, j);
-            let approx = dt
-                .interpolate_with(cache, &mut cursor, p, samples)
-                .unwrap_or_else(|| {
-                    // Outside the hull of inserted vertices (possible
-                    // before the scaffold corners exist): nearest value.
-                    dt.nearest_vertex(p).map(|id| samples[id.0]).unwrap_or(0.0)
-                });
-            (field.value(p) - approx).abs()
-        })
-        .collect()
-}
-
-/// Raster variant of [`row_errors`]: span-claimed cells interpolate
-/// from their owning plan triangle (bit-identical to the walk by the
-/// locate-mode claim rule); unclaimed cells fall through to the same
-/// walk/extrapolation chain as [`row_errors`].
-#[allow(clippy::too_many_arguments)]
-fn row_errors_raster<F: Field>(
     g: &GridSpec,
     i0: usize,
     i1: usize,
@@ -331,12 +211,14 @@ fn row_errors_raster<F: Field>(
     (i0..=i1)
         .map(|i| {
             let p = g.point(i, j);
-            let approx = match plan.interpolate_owned(owners[i - i0], p, samples) {
-                Some(v) => v,
-                None => dt
-                    .interpolate_with(cache, &mut cursor, p, samples)
-                    .unwrap_or_else(|| dt.nearest_vertex(p).map(|id| samples[id.0]).unwrap_or(0.0)),
-            };
+            let approx = plan
+                .interpolate_owned(owners[i - i0], p, samples)
+                .or_else(|| dt.interpolate_with(cache, &mut cursor, p, samples))
+                .unwrap_or_else(|| {
+                    // Outside the hull of inserted vertices (possible
+                    // before the scaffold corners exist): nearest value.
+                    dt.nearest_vertex(p).map(|id| samples[id.0]).unwrap_or(0.0)
+                });
             (field.value(p) - approx).abs()
         })
         .collect()
@@ -364,7 +246,7 @@ mod tests {
     fn plane_has_zero_error_everywhere() {
         let f = PlaneField::new(1.0, -2.0, 3.0);
         let (grid, dt, zs) = setup(&f);
-        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         assert!(errs.total_error() < 1e-6);
         // argmax still returns something (the max of zeros).
         assert!(errs.argmax(&[]).is_some());
@@ -374,7 +256,7 @@ mod tests {
     fn blob_error_peaks_at_blob_center() {
         let f = GaussianBlob::isotropic(Point2::new(5.0, 5.0), 10.0, 1.5);
         let (grid, dt, zs) = setup(&f);
-        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         let (p, e) = errs.argmax(&[]).unwrap();
         assert_eq!(p, Point2::new(5.0, 5.0));
         assert!((e - 10.0).abs() < 1.0);
@@ -384,7 +266,7 @@ mod tests {
     fn mark_used_excludes_position() {
         let f = GaussianBlob::isotropic(Point2::new(5.0, 5.0), 10.0, 1.5);
         let (grid, dt, zs) = setup(&f);
-        let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         let (p1, _) = errs.argmax(&[]).unwrap();
         errs.mark_used(p1);
         assert!(errs.is_used(p1));
@@ -396,7 +278,7 @@ mod tests {
     fn rejection_list_is_honoured() {
         let f = GaussianBlob::isotropic(Point2::new(5.0, 5.0), 10.0, 1.5);
         let (grid, dt, zs) = setup(&f);
-        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         let (p1, _) = errs.argmax(&[]).unwrap();
         let rejected = vec![errs.flat_index_of(p1)];
         let (p2, _) = errs.argmax(&rejected).unwrap();
@@ -407,14 +289,14 @@ mod tests {
     fn insertion_update_reduces_local_error() {
         let f = GaussianBlob::isotropic(Point2::new(5.0, 5.0), 10.0, 1.5);
         let (grid, mut dt, mut zs) = setup(&f);
-        let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         let before = errs.error_at(5, 5);
         // Insert the blob centre and update the dirtied area.
         let center = Point2::new(5.0, 5.0);
         dt.insert(center).unwrap();
         zs.push(f.value(center));
         let (lo, hi) = dt.last_insert_bbox().unwrap();
-        errs.recompute_region(lo, hi, &f, &dt, &zs);
+        errs.recompute_region(lo, hi, &f, &dt, &zs, Parallelism::serial());
         let after = errs.error_at(5, 5);
         assert!(after < before);
         assert!(after < 1e-9);
@@ -424,7 +306,7 @@ mod tests {
     fn try_error_at_bounds_checks() {
         let f = PlaneField::new(1.0, -2.0, 3.0);
         let (grid, dt, zs) = setup(&f);
-        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         assert_eq!(errs.try_error_at(5, 5), Some(errs.error_at(5, 5)));
         assert_eq!(errs.try_error_at(10, 10), Some(errs.error_at(10, 10)));
         assert_eq!(errs.try_error_at(11, 5), None);
@@ -433,22 +315,47 @@ mod tests {
     }
 
     #[test]
-    fn parallel_recompute_is_bit_identical_to_serial() {
+    fn recompute_is_bit_identical_to_a_per_cell_walk_at_any_thread_count() {
         let f = GaussianBlob::isotropic(Point2::new(5.0, 5.0), 10.0, 1.5);
-        let (grid, dt, zs) = setup(&f);
-        let serial = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let (_, mut dt, mut zs) = setup(&f);
+        // 71 rows, so the parallel policies really shard; interior
+        // vertices leave most cells to locate mode, while the hull
+        // boundary and cells on edges fall back to the walk.
+        let grid = GridSpec::new(Rect::square(10.0).unwrap(), 71, 71).unwrap();
+        for k in 1..=12u32 {
+            let u = (f64::from(k) * 0.618_033_988_749_895).fract();
+            let v = (f64::from(k) * 0.414_213_562_373_095_1 + 0.3).fract();
+            let p = Point2::new(0.5 + 9.0 * u, 0.5 + 9.0 * v);
+            dt.insert(p).unwrap();
+            zs.push(f.value(p));
+        }
+        // The reference: every cell located by the walk, left to right
+        // behind one cursor per row.
+        let cache = dt.locate_cache();
+        let walk: Vec<f64> = (0..grid.ny())
+            .flat_map(|j| {
+                let mut cursor = LocateCursor::new();
+                (0..grid.nx())
+                    .map(|i| {
+                        let p = grid.point(i, j);
+                        let z = dt.interpolate_with(&cache, &mut cursor, p, &zs).unwrap();
+                        (f.value(p) - z).abs()
+                    })
+                    .collect::<Vec<f64>>()
+            })
+            .collect();
         for par in [
             Parallelism::serial(),
             Parallelism::fixed(2),
             Parallelism::fixed(3),
             Parallelism::auto(),
         ] {
-            let parallel = LocalErrorGrid::new_with(grid, &f, &dt, &zs, par);
+            let errs = LocalErrorGrid::new(grid, &f, &dt, &zs, par);
             for j in 0..grid.ny() {
                 for i in 0..grid.nx() {
                     assert_eq!(
-                        serial.error_at(i, j).to_bits(),
-                        parallel.error_at(i, j).to_bits(),
+                        errs.error_at(i, j).to_bits(),
+                        walk[grid.flat_index(i, j)].to_bits(),
                         "({i}, {j}) with {par:?}"
                     );
                 }

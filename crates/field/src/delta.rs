@@ -9,6 +9,13 @@
 //!               = ∬_A |f(x,y) − DT(x,y)| dx dy        (Eqn. 2)
 //! ```
 //!
+//! The functions here integrate any pair of fields. For a
+//! [`ReconstructedSurface`](crate::ReconstructedSurface) the δ of
+//! record is [`raster::delta_rms_raster`](crate::raster::delta_rms_raster),
+//! which planes each triangle once instead of locating every grid
+//! point. These generic sums are the δ of every other field pair and
+//! the reference the raster kernel is tested against.
+//!
 //! All integrals are evaluated by grid quadrature over a [`GridSpec`]
 //! with trapezoidal weights (boundary points count half, corners a
 //! quarter), which converges at O(h²) for the piecewise-smooth surfaces
@@ -231,30 +238,6 @@ pub fn rms_difference_with<F: Field + Sync, G: Field + Sync>(
         ss += row;
     }
     (ss / grid.len() as f64).sqrt()
-}
-
-/// δ and RMS of `|reference − surface|` under the chosen
-/// [`Kernel`](crate::Kernel): [`Walk`](crate::Kernel::Walk) runs the
-/// classic per-cell locate-walk pair ([`volume_difference_with`] +
-/// [`rms_difference_with`], two sweeps),
-/// [`Raster`](crate::Kernel::Raster) the fused scanline kernel
-/// ([`crate::raster::delta_rms_raster`], one sweep). Both agree within
-/// quadrature tolerance (≤1e-9 relative) and each is bit-identical
-/// across thread counts.
-pub fn surface_delta_rms_with<F: Field + Sync>(
-    reference: &F,
-    surface: &crate::ReconstructedSurface,
-    grid: &GridSpec,
-    par: Parallelism,
-    kernel: crate::Kernel,
-) -> crate::DeltaTotals {
-    match kernel {
-        crate::Kernel::Walk => crate::DeltaTotals {
-            delta: volume_difference_with(reference, surface, grid, par),
-            rms: rms_difference_with(reference, surface, grid, par),
-        },
-        crate::Kernel::Raster => crate::raster::delta_rms_raster(reference, surface, grid, par),
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! Both OSD and OSTD re-measure the volume difference δ (Eqn. 2) after
 //! every small change to the reconstruction — FRA after each Delaunay
 //! insertion, CMA after each movement round — yet the full quadrature
-//! re-walks every grid point even though the reconstructed surface
+//! re-sweeps every grid point even though the reconstructed surface
 //! `z* = DT(x, y)` only changed inside a handful of triangles.
 //!
 //! [`DeltaCache`] partitions the grid into square tiles of
@@ -21,14 +21,15 @@
 //!    whenever the vertex set changed at all, since nearest-sample
 //!    extrapolation outside the hull is a global function of the
 //!    vertices);
-//! 3. re-integrates the invalid tiles on the row-sharded parallel
-//!    engine and folds all tile partials in fixed tile order.
+//! 3. re-integrates the invalid tiles from one [`RasterPlan`] on the
+//!    row-sharded parallel engine and folds all tile partials in fixed
+//!    tile order.
 //!
 //! A retriangulation that changes many triangles simply invalidates
 //! many tiles; an unprimed or grid-incompatible cache degrades to a
 //! full recompute. Either way the result is the same quadrature sum
 //! regrouped per tile, so it matches the row-order
-//! [`delta::volume_difference`](crate::delta::volume_difference) within
+//! [`raster::delta_rms_raster`](crate::raster::delta_rms_raster) within
 //! floating-point regrouping error (≪ 1e-9 relative; property-tested),
 //! and is **bit-identical across thread counts and invalidation
 //! histories**: a tile's partial never depends on when or why it was
@@ -47,7 +48,7 @@ use cps_geometry::{GridSpec, Point2};
 
 use crate::delta::weight;
 use crate::par::{map_rows, Parallelism};
-use crate::raster::{Kernel, RasterPlan};
+use crate::raster::RasterPlan;
 use crate::{Field, ReconstructedSurface};
 
 /// Default tile side, in grid points. 16×16 keeps a 201×201 grid at
@@ -245,29 +246,14 @@ impl DeltaCache {
     ///
     /// The first refresh (or the first after
     /// [`invalidate_all`](DeltaCache::invalidate_all) /
-    /// [`reprime`](DeltaCache::reprime)) integrates every tile. Tiles
-    /// are integrated with the per-cell locate walk; see
-    /// [`DeltaCache::refresh_with_kernel`] for the raster kernel.
+    /// [`reprime`](DeltaCache::reprime)) integrates every tile. A
+    /// [`RasterPlan`] is built once per refresh and each dirty tile
+    /// fills its rows from the plan's spans (clipped to the tile),
+    /// falling back to per-cell extrapolation only for unclaimed cells.
+    /// A tile's partial is a pure function of `(tile bounds, surface)`,
+    /// so results are bit-identical across thread counts and
+    /// invalidation histories.
     pub fn refresh(&mut self, surface: &ReconstructedSurface, par: Parallelism) -> DeltaTotals {
-        self.refresh_with_kernel(surface, par, Kernel::Walk)
-    }
-
-    /// [`DeltaCache::refresh`] with an explicit quadrature [`Kernel`].
-    ///
-    /// Under [`Kernel::Raster`] a [`RasterPlan`] is built once per
-    /// refresh and each dirty tile fills its rows from the plan's
-    /// spans (clipped to the tile), falling back to per-cell
-    /// extrapolation only for unclaimed cells. A tile's partial stays
-    /// a pure function of `(tile bounds, surface)` for either kernel,
-    /// so results remain bit-identical across thread counts and
-    /// invalidation histories; walk and raster tiles agree within
-    /// quadrature tolerance (≤1e-9 relative).
-    pub fn refresh_with_kernel(
-        &mut self,
-        surface: &ReconstructedSurface,
-        par: Parallelism,
-        kernel: Kernel,
-    ) -> DeltaTotals {
         let _t = cps_obs::time(cps_obs::Phase::DeltaTileRefresh, par.threads());
 
         let dt = surface.triangulation();
@@ -319,18 +305,14 @@ impl DeltaCache {
         let grid = self.grid;
         let (tile, tx) = (self.tile, self.tx);
         let ref_vals = &self.ref_vals;
-        let plan = match kernel {
-            Kernel::Raster if !dirty.is_empty() => Some(RasterPlan::build(
-                surface.triangulation(),
-                surface.samples(),
-                &grid,
-            )),
-            _ => None,
+        let recomputed = if dirty.is_empty() {
+            Vec::new()
+        } else {
+            let plan = RasterPlan::build(dt, zs, &grid);
+            map_rows(dirty.len(), par, |k| {
+                compute_tile(&grid, tile, tx, ref_vals, dirty[k], surface, &plan)
+            })
         };
-        let recomputed = map_rows(dirty.len(), par, |k| match &plan {
-            Some(plan) => compute_tile_raster(&grid, tile, tx, ref_vals, dirty[k], surface, plan),
-            None => compute_tile(&grid, tile, tx, ref_vals, dirty[k], surface),
-        });
         for (&t, (abs, sq, extra)) in dirty.iter().zip(recomputed) {
             self.tile_abs[t] = abs;
             self.tile_sq[t] = sq;
@@ -421,47 +403,13 @@ fn tri_key_bbox(key: &TriKey) -> (Point2, Point2) {
     )
 }
 
-/// Integrates one tile: row-major over the tile's points, rows summed
-/// left to right then folded in row order — a fixed operand order, so
-/// the partial is bit-identical no matter when or on which thread the
+/// Integrates one tile: the tile's rows are filled from the plan's
+/// spans (clipped to the tile's cell range) and only unclaimed cells
+/// pay the per-cell extrapolation fallback. Rows are summed left to
+/// right then folded in row order — a fixed operand order, so the
+/// partial is bit-identical no matter when or on which thread the
 /// tile is recomputed.
 fn compute_tile(
-    grid: &GridSpec,
-    tile: usize,
-    tx: usize,
-    ref_vals: &[f64],
-    t: usize,
-    surface: &ReconstructedSurface,
-) -> (f64, f64, bool) {
-    let (ti, tj) = (t % tx, t / tx);
-    let (i0, j0) = (ti * tile, tj * tile);
-    let i1 = (i0 + tile).min(grid.nx());
-    let j1 = (j0 + tile).min(grid.ny());
-    let mut abs = 0.0;
-    let mut sq = 0.0;
-    let mut extrapolates = false;
-    for j in j0..j1 {
-        let mut row_abs = 0.0;
-        let mut row_sq = 0.0;
-        for i in i0..i1 {
-            let p = grid.point(i, j);
-            let (g, outside) = surface.value_extrapolated(p);
-            extrapolates |= outside;
-            let d = ref_vals[grid.flat_index(i, j)] - g;
-            row_abs += weight(grid, i, j) * d.abs();
-            row_sq += d * d;
-        }
-        abs += row_abs;
-        sq += row_sq;
-    }
-    (abs, sq, extrapolates)
-}
-
-/// [`compute_tile`] under the raster kernel: the tile's rows are
-/// filled from the plan's spans (clipped to the tile's cell range) and
-/// only unclaimed cells pay the per-cell extrapolation fallback. Same
-/// fixed operand order as the walk variant.
-fn compute_tile_raster(
     grid: &GridSpec,
     tile: usize,
     tx: usize,
@@ -526,8 +474,18 @@ mod tests {
         (a - b).abs() <= 1e-9 * b.abs().max(1.0)
     }
 
+    /// Refreshes count tile hits and misses into the process-global
+    /// `cps_obs` counters, which one test reads; serialize every test
+    /// that refreshes so none of them counts into another's window.
+    static REFRESH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn locked() -> std::sync::MutexGuard<'static, ()> {
+        REFRESH_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn primed_refresh_matches_full_quadrature() {
+        let _l = locked();
         let (region, grid, f) = setting();
         let positions: Vec<Point2> = region
             .corners()
@@ -545,6 +503,7 @@ mod tests {
 
     #[test]
     fn incremental_insertions_match_full_quadrature() {
+        let _l = locked();
         let (region, grid, f) = setting();
         let mut positions: Vec<Point2> = region.corners().to_vec();
         let mut cache = DeltaCache::new(&f, &grid, Parallelism::serial());
@@ -570,6 +529,7 @@ mod tests {
 
     #[test]
     fn interior_insertion_recomputes_a_strict_tile_subset() {
+        let _l = locked();
         let (region, grid, f) = setting();
         // A dense deployment keeps triangles small, and the corner
         // scaffolding keeps the hull fixed, so an interior insert must
@@ -602,6 +562,7 @@ mod tests {
 
     #[test]
     fn refresh_is_bit_identical_across_thread_counts_and_histories() {
+        let _l = locked();
         let (region, grid, f) = setting();
         let mut positions: Vec<Point2> = region.corners().to_vec();
         positions.push(Point2::new(33.0, 41.0));
@@ -623,6 +584,7 @@ mod tests {
 
     #[test]
     fn changed_reference_is_detected_and_reprimed() {
+        let _l = locked();
         let (region, grid, f) = setting();
         let positions: Vec<Point2> = region
             .corners()
@@ -652,6 +614,7 @@ mod tests {
 
     #[test]
     fn tiny_tile_and_degenerate_grid_still_agree() {
+        let _l = locked();
         let region = Rect::square(10.0).unwrap();
         let grid = GridSpec::new(region, 2, 9).unwrap();
         let f = PeaksField::new(region, 5.0);

@@ -23,9 +23,10 @@
 //! * the row-sharded parallel evaluation engine in [`par`]
 //!   ([`Parallelism`]), whose grid sweeps are bit-identical to serial
 //!   at any thread count and run on a persistent worker pool;
-//! * the triangle-major scanline quadrature kernel in [`raster`]
-//!   ([`Kernel`], [`RasterPlan`]): plane each alive triangle once and
-//!   DDA-sweep its row spans instead of locating per grid cell.
+//! * the triangle-major scanline quadrature in [`raster`]
+//!   ([`RasterPlan`]), the δ of every reconstructed surface: plane each
+//!   alive triangle once and DDA-sweep its row spans instead of
+//!   locating per grid cell.
 //!
 //! # Example
 //!
@@ -75,6 +76,6 @@ pub use incremental::{DeltaCache, DeltaTotals};
 pub use noise::NoiseField;
 pub use ops::{ClampedField, ScaledField, SumField, TranslatedField};
 pub use par::Parallelism;
-pub use raster::{Kernel, RasterPlan};
+pub use raster::RasterPlan;
 pub use reconstruct::ReconstructedSurface;
 pub use traits::{Field, Frozen, Static, TimeVaryingField};

@@ -1,7 +1,9 @@
 //! Triangle-major scanline rasterization of the reconstruction surface.
 //!
-//! The locate-walk quadrature answers "which triangle contains this grid
-//! point?" once per cell. This module inverts the loop: each alive
+//! This module is the one δ quadrature for a [`ReconstructedSurface`].
+//! The generic field-vs-field quadrature of [`crate::delta`] asks the
+//! surface's locate walk "which triangle contains this grid point?"
+//! once per cell; the raster kernel inverts the loop: each alive
 //! triangle is *planed* once (the linear `z = za + gx·(x−ax) + gy·(y−ay)`
 //! its lifted vertices span), clipped to the grid rows it crosses, and
 //! swept along each row span with an incremental DDA (`z += gx·Δx`) —
@@ -42,38 +44,6 @@ pub const NO_OWNER: u32 = u32::MAX;
 /// the walk's acceptance slack means the walk cannot stop in any other
 /// triangle for that point.
 const STRICT_INSIDE: f64 = 1e-12;
-
-/// Which δ-quadrature / error-grid kernel to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Kernel {
-    /// Per-cell point location via the cursor walk (the original path).
-    Walk,
-    /// Triangle-major scanline rasterization (this module). Default.
-    #[default]
-    Raster,
-}
-
-impl Kernel {
-    /// Stable lowercase name (CLI flag value, checkpoint field).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Kernel::Walk => "walk",
-            Kernel::Raster => "raster",
-        }
-    }
-}
-
-impl std::str::FromStr for Kernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "walk" => Ok(Kernel::Walk),
-            "raster" => Ok(Kernel::Raster),
-            other => Err(format!("unknown kernel '{other}' (use walk|raster)")),
-        }
-    }
-}
 
 /// One planed triangle of the reconstruction surface.
 #[derive(Debug, Clone, Copy)]
@@ -250,9 +220,10 @@ impl RasterPlan {
 /// usual extrapolation path.
 ///
 /// Rows are whole work units and are folded in row order, so the
-/// result is bit-identical at every thread count — and, like the walk
-/// quadrature, within quadrature tolerance (≤1e-9 relative) of the
-/// walk kernel's `volume_difference` / `rms_difference` pair.
+/// result is bit-identical at every thread count, and within 1e-9
+/// (relative) of the generic
+/// [`volume_difference`](crate::delta::volume_difference) /
+/// [`rms_difference`](crate::delta::rms_difference) pair.
 pub fn delta_rms_raster<F: Field + Sync>(
     reference: &F,
     surface: &ReconstructedSurface,
@@ -321,23 +292,23 @@ mod tests {
     }
 
     #[test]
-    fn raster_quadrature_matches_walk_within_tolerance() {
+    fn raster_quadrature_matches_generic_quadrature() {
         let (region, reference, surface) = scattered_surface(60, 9);
         let grid = GridSpec::new(region, 81, 81).unwrap();
-        let walk_delta = volume_difference(&reference, &surface, &grid);
-        let walk_rms = rms_difference(&reference, &surface, &grid);
+        let generic_delta = volume_difference(&reference, &surface, &grid);
+        let generic_rms = rms_difference(&reference, &surface, &grid);
         let got = delta_rms_raster(&reference, &surface, &grid, Parallelism::serial());
         assert!(
-            (got.delta - walk_delta).abs() <= 1e-9 * walk_delta.abs().max(1.0),
-            "delta: raster {} vs walk {}",
+            (got.delta - generic_delta).abs() <= 1e-9 * generic_delta.abs().max(1.0),
+            "delta: raster {} vs generic {}",
             got.delta,
-            walk_delta
+            generic_delta
         );
         assert!(
-            (got.rms - walk_rms).abs() <= 1e-9 * walk_rms.abs().max(1.0),
-            "rms: raster {} vs walk {}",
+            (got.rms - generic_rms).abs() <= 1e-9 * generic_rms.abs().max(1.0),
+            "rms: raster {} vs generic {}",
             got.rms,
-            walk_rms
+            generic_rms
         );
     }
 
@@ -365,10 +336,10 @@ mod tests {
         let got = delta_rms_raster(&plane, &surface, &interior, Parallelism::serial());
         assert!(got.delta < 1e-9, "interior plane delta {}", got.delta);
         // Hull-exterior cells go through extrapolation: identical to
-        // the walk kernel by construction (same fallback call).
-        let walk = volume_difference(&plane, &surface, &grid);
+        // the generic quadrature by construction (same fallback call).
+        let generic = volume_difference(&plane, &surface, &grid);
         let full = delta_rms_raster(&plane, &surface, &grid, Parallelism::serial());
-        assert!((full.delta - walk).abs() <= 1e-9 * walk.max(1.0));
+        assert!((full.delta - generic).abs() <= 1e-9 * generic.max(1.0));
     }
 
     #[test]
@@ -414,16 +385,5 @@ mod tests {
             verified > grid.len() / 2,
             "locate mode should claim most interior cells, got {verified}"
         );
-    }
-
-    #[test]
-    fn kernel_parses_and_round_trips() {
-        assert_eq!("walk".parse::<Kernel>().unwrap(), Kernel::Walk);
-        assert_eq!("raster".parse::<Kernel>().unwrap(), Kernel::Raster);
-        assert!("speedy".parse::<Kernel>().is_err());
-        assert_eq!(Kernel::default(), Kernel::Raster);
-        for k in [Kernel::Walk, Kernel::Raster] {
-            assert_eq!(k.as_str().parse::<Kernel>().unwrap(), k);
-        }
     }
 }

@@ -50,7 +50,7 @@ use std::path::{Path, PathBuf};
 
 use cps_core::ostd::CmaConfig;
 use cps_core::{
-    CoreError, DeploymentEvaluation, EvalOptions, Kernel, SurvivabilityState, SurvivabilityTracker,
+    CoreError, DeploymentEvaluation, EvalOptions, SurvivabilityState, SurvivabilityTracker,
 };
 use cps_geometry::{Point2, Rect};
 use serde_json::Value;
@@ -58,8 +58,12 @@ use serde_json::Value;
 use crate::fault::{DeathCause, FaultEvent, FaultPlan, RecoveryPolicy};
 use crate::{DeltaTimeline, MobileNode};
 
-/// Newest snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Snapshot format version this build reads and writes. Version 2
+/// dropped the per-run quadrature kernel: every δ now runs on the
+/// raster kernel, so version 1 snapshots, which may record the walk,
+/// fail with [`CoreError::SnapshotVersion`] instead of resuming on
+/// different arithmetic.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Magic token opening every snapshot file.
 const MAGIC: &str = "CPSSNAP";
@@ -142,16 +146,10 @@ pub struct SimSnapshot {
     /// Whether δ measurements of this run used the incremental tile
     /// cache (the cache itself re-primes lazily after restore).
     pub eval_cached: bool,
-    /// Which quadrature kernel δ measurements of this run used.
-    /// Snapshots written before the kernel existed decode as
-    /// [`Kernel::Walk`], so old runs resume on the exact arithmetic
-    /// path they were taken with.
-    pub eval_kernel: Kernel,
     /// Stage names of the pipeline that produced this snapshot, in
-    /// execution order. Snapshots written before the stage pipeline
-    /// existed decode as the standard sequence; restore rejects
-    /// anything else, because resuming a run under a different stage
-    /// order could not be bit-identical to the uninterrupted one.
+    /// execution order. Restore rejects anything but the standard
+    /// sequence, because resuming a run under a different stage order
+    /// could not be bit-identical to the uninterrupted one.
     pub pipeline: Vec<String>,
     /// The full fleet, dead nodes included.
     pub nodes: Vec<MobileNode>,
@@ -371,10 +369,6 @@ impl SimSnapshot {
             ),
             ("eval_cached", Value::Bool(self.eval_cached)),
             (
-                "eval_kernel",
-                Value::String(self.eval_kernel.as_str().to_string()),
-            ),
-            (
                 "pipeline",
                 Value::Array(
                     self.pipeline
@@ -427,23 +421,16 @@ impl SimSnapshot {
             Value::Null => None,
             s => Some(decode_survivability(s)?),
         };
-        // Lenient like `eval_kernel`: snapshots written before the
-        // stage pipeline existed ran the standard sequence.
-        let pipeline = match value.get("pipeline") {
-            None | Some(Value::Null) => crate::stage::STANDARD_STAGES
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            Some(Value::Array(stages)) => stages
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| corrupt("pipeline stage names must be strings".to_string()))
-                })
-                .collect::<Result<Vec<String>, CoreError>>()?,
-            Some(_) => return Err(corrupt("pipeline must be an array".to_string())),
-        };
+        let pipeline = get(value, "pipeline")?
+            .as_array()
+            .ok_or_else(|| corrupt("pipeline must be an array".to_string()))?
+            .iter()
+            .map(|s| {
+                s.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| corrupt("pipeline stage names must be strings".to_string()))
+            })
+            .collect::<Result<Vec<String>, CoreError>>()?;
         Ok(SimSnapshot {
             label: dec_str(value, "label")?,
             slot: dec_u64(value, "slot")?,
@@ -458,7 +445,6 @@ impl SimSnapshot {
             region,
             curvature_scale: dec_f64(value, "curvature_scale")?,
             eval_cached: dec_bool(value, "eval_cached")?,
-            eval_kernel: dec_kernel(value)?,
             pipeline,
             nodes,
             fault,
@@ -595,23 +581,33 @@ impl CheckpointDir {
     /// Loads the newest snapshot that passes verification, skipping (and
     /// counting as `checkpoints_rejected`) corrupt, truncated, or
     /// unsupported files. Returns the snapshot and its path, or `None`
-    /// when no valid snapshot exists.
+    /// when the directory holds no snapshot or only corrupt ones.
     ///
     /// # Errors
     ///
-    /// [`CoreError::SnapshotIo`] when the directory cannot be listed
-    /// (unreadable *files* are skipped, not fatal).
+    /// * [`CoreError::SnapshotIo`] when the directory cannot be listed
+    ///   (unreadable *files* are skipped, not fatal).
+    /// * [`CoreError::SnapshotVersion`] of the newest such file when no
+    ///   snapshot verifies and at least one was written in another
+    ///   format version: the run exists but this build cannot continue
+    ///   it, which must not pass for a fresh start.
     pub fn latest_valid(&self) -> Result<Option<(SimSnapshot, PathBuf)>, CoreError> {
+        let mut unsupported = None;
         for path in self.snapshots()?.into_iter().rev() {
             match SimSnapshot::load(&path) {
                 Ok(snapshot) => {
                     cps_obs::count(cps_obs::Counter::CheckpointsLoaded);
                     return Ok(Some((snapshot, path)));
                 }
-                Err(_) => cps_obs::count(cps_obs::Counter::CheckpointsRejected),
+                Err(e) => {
+                    cps_obs::count(cps_obs::Counter::CheckpointsRejected);
+                    if matches!(e, CoreError::SnapshotVersion { .. }) {
+                        unsupported.get_or_insert(e);
+                    }
+                }
             }
         }
-        Ok(None)
+        unsupported.map_or(Ok(None), Err)
     }
 
     /// Deletes the oldest snapshots beyond the retention bound.
@@ -738,19 +734,6 @@ pub(crate) fn dec_bool(value: &Value, key: &str) -> Result<bool, CoreError> {
     get(value, key)?
         .as_bool()
         .ok_or_else(|| corrupt(format!("field {key} must be a boolean")))
-}
-
-/// Decodes the quadrature kernel; pre-kernel snapshots lack the field
-/// and resume on the walk path they were recorded with.
-fn dec_kernel(value: &Value) -> Result<Kernel, CoreError> {
-    match value.get("eval_kernel") {
-        None => Ok(Kernel::Walk),
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| corrupt("field eval_kernel must be a string".to_string()))?
-            .parse::<Kernel>()
-            .map_err(corrupt),
-    }
 }
 
 pub(crate) fn dec_str(value: &Value, key: &str) -> Result<String, CoreError> {
@@ -1295,7 +1278,6 @@ mod tests {
             region: Rect::new(Point2::new(20.0, 20.0), Point2::new(120.0, 120.0)).unwrap(),
             curvature_scale: 0.012_345_678_901_234_5,
             eval_cached: true,
-            eval_kernel: Kernel::Raster,
             pipeline: crate::stage::STANDARD_STAGES
                 .iter()
                 .map(|s| s.to_string())
@@ -1411,29 +1393,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_kernel_snapshots_decode_to_the_walk_path() {
-        // Snapshots written before the quadrature kernel existed carry
-        // no eval_kernel field; they must resume on the walk arithmetic
-        // they were recorded with, not the new raster default.
-        let snap = sample_snapshot();
-        let payload = serde_json::to_string(&snap.encode().unwrap()).unwrap();
-        assert!(payload.contains("eval_kernel"));
-        let stripped = payload.replace("\"eval_kernel\":\"raster\",", "");
-        assert_ne!(payload, stripped);
-        let value: Value = serde_json::from_str(&stripped).unwrap();
-        let back = SimSnapshot::decode(&value).unwrap();
-        assert_eq!(back.eval_kernel, Kernel::Walk);
-
-        // An unrecognized kernel name is corruption, not a default.
-        let garbled = payload.replace("\"eval_kernel\":\"raster\"", "\"eval_kernel\":\"simpson\"");
-        let value: Value = serde_json::from_str(&garbled).unwrap();
-        assert!(matches!(
-            SimSnapshot::decode(&value),
-            Err(CoreError::SnapshotCorrupt { .. })
-        ));
-    }
-
-    #[test]
     fn every_single_byte_flip_is_detected() {
         let snap = sample_snapshot();
         let bytes = snap.to_bytes().unwrap();
@@ -1469,19 +1428,67 @@ mod tests {
         }
     }
 
+    /// `sample_snapshot` re-labelled as format `version`; the checksum
+    /// covers the payload only, so it still verifies.
+    fn snapshot_bytes_with_version(version: u32) -> Vec<u8> {
+        let text = String::from_utf8(sample_snapshot().to_bytes().unwrap()).unwrap();
+        text.replacen(
+            &format!("CPSSNAP {SNAPSHOT_VERSION} "),
+            &format!("CPSSNAP {version} "),
+            1,
+        )
+        .into_bytes()
+    }
+
     #[test]
     fn version_mismatch_is_typed() {
-        let snap = sample_snapshot();
-        let bytes = snap.to_bytes().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        let bumped = text.replacen("CPSSNAP 1 ", "CPSSNAP 2 ", 1);
+        // Older (version 1 may record the removed walk kernel) and
+        // newer formats alike.
+        for version in [1, SNAPSHOT_VERSION + 1] {
+            assert!(matches!(
+                SimSnapshot::from_bytes(&snapshot_bytes_with_version(version)),
+                Err(CoreError::SnapshotVersion { found, supported: SNAPSHOT_VERSION })
+                    if found == version
+            ));
+        }
+    }
+
+    #[test]
+    fn a_directory_of_old_snapshots_is_an_error_not_a_fresh_start() {
+        let dir = std::env::temp_dir().join(format!(
+            "cps_ckpt_test_{}_{}",
+            std::process::id(),
+            "old_version"
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let store = CheckpointDir::new(&dir);
+        let path = store.store(&sample_snapshot()).unwrap();
+        fs::write(&path, snapshot_bytes_with_version(1)).unwrap();
         assert!(matches!(
-            SimSnapshot::from_bytes(bumped.as_bytes()),
+            store.latest_valid(),
             Err(CoreError::SnapshotVersion {
-                found: 2,
-                supported: SNAPSHOT_VERSION
+                found: 1,
+                supported: 2
             })
         ));
+
+        // A corrupt snapshot next to it changes nothing: still no valid
+        // snapshot, and the old one is still reported.
+        let mut snap = sample_snapshot();
+        snap.slot += 1;
+        let newer = store.store(&snap).unwrap();
+        fs::write(&newer, b"").unwrap();
+        assert!(matches!(
+            store.latest_valid(),
+            Err(CoreError::SnapshotVersion { found: 1, .. })
+        ));
+
+        // A valid snapshot anywhere in the chain wins.
+        snap.slot += 1;
+        store.store(&snap).unwrap();
+        let (resumed, _) = store.latest_valid().unwrap().expect("valid snapshot");
+        assert_eq!(resumed.slot, snap.slot);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -344,7 +344,6 @@ impl<F: TimeVaryingField> Simulation<F> {
             region: self.region,
             curvature_scale: self.curvature_scale,
             eval_cached: self.eval.cached,
-            eval_kernel: self.eval.kernel,
             pipeline: crate::stage::STANDARD_STAGES
                 .iter()
                 .map(|s| s.to_string())
@@ -670,9 +669,8 @@ impl CmaBuilder {
     /// The thread policy defaults to [`Parallelism::auto`] and may be
     /// overridden with [`parallelism`](CmaBuilder::parallelism) or
     /// [`evaluator`](CmaBuilder::evaluator) — results do not depend on
-    /// it. Whether δ evaluation uses the tile cache, and which
-    /// quadrature kernel it runs on, are restored from the snapshot
-    /// (both overridable). Deployment-time settings
+    /// it. Whether δ evaluation uses the tile cache is restored from
+    /// the snapshot (overridable). Deployment-time settings
     /// ([`config`](CmaBuilder::config),
     /// [`start_time`](CmaBuilder::start_time),
     /// [`faults`](CmaBuilder::faults)) are ignored on resume: the
@@ -680,7 +678,6 @@ impl CmaBuilder {
     pub fn resume_from(snapshot: SimSnapshot) -> Self {
         let mut builder = CmaBuilder::new(snapshot.region, Vec::new());
         builder.eval.cached = snapshot.eval_cached;
-        builder.eval.kernel = snapshot.eval_kernel;
         builder.resume = Some(Box::new(snapshot));
         builder
     }

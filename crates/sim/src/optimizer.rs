@@ -144,8 +144,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the shared evaluation options (thread policy, tile cache,
-    /// quadrature kernel) — the counterpart of both
+    /// Sets the shared evaluation options (thread policy, tile cache)
+    /// — the counterpart of both
     /// [`CmaBuilder::evaluator`] and [`FraBuilder::evaluator`].
     pub fn evaluator(mut self, opts: EvalOptions) -> Self {
         self.config.parallelism = opts.parallelism;

@@ -46,7 +46,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use cps_core::{CoreError, CpsConfig, EvalOptions, Kernel};
+use cps_core::{CoreError, CpsConfig, EvalOptions};
 use cps_field::{Parallelism, TimeVaryingField};
 use cps_geometry::{GridSpec, Point2, Rect};
 use serde_json::Value;
@@ -96,8 +96,6 @@ pub struct SweepSpec {
     pub spacing_factor: f64,
     /// Whether δ evaluation uses the incremental tile cache.
     pub cached: bool,
-    /// Which δ quadrature kernel to run.
-    pub kernel: Kernel,
     /// Simulation clock at deployment (minutes).
     pub start_time: f64,
 }
@@ -116,7 +114,6 @@ impl Default for SweepSpec {
             resolution: 61,
             spacing_factor: 0.93,
             cached: false,
-            kernel: Kernel::Raster,
             start_time: 600.0,
         }
     }
@@ -286,7 +283,6 @@ impl SweepSpec {
                 num("spacing_factor", self.spacing_factor)?,
             ),
             ("cached", Value::Bool(self.cached)),
-            ("kernel", Value::String(self.kernel.as_str().to_string())),
             ("start_time", num("start_time", self.start_time)?),
         ]))
     }
@@ -359,10 +355,15 @@ impl SweepSpec {
         if value.get("cached").is_some() {
             spec.cached = dec_bool(value, "cached")?;
         }
-        if value.get("kernel").is_some() {
-            spec.kernel = dec_str(value, "kernel")?
-                .parse::<Kernel>()
-                .map_err(corrupt)?;
+        // Specs written while the walk kernel existed may still name
+        // one: "raster" is what every job runs, anything else is an
+        // error rather than a silent switch of arithmetic.
+        if value.get("kernel").is_some() && dec_str(value, "kernel")? != "raster" {
+            return Err(CoreError::InvalidParameter {
+                name: "kernel",
+                requirement: "the walk kernel was removed; every sweep runs the raster \
+                              kernel (drop the key or set it to \"raster\")",
+            });
         }
         if value.get("start_time").is_some() {
             spec.start_time = dec_f64(value, "start_time")?;
@@ -933,8 +934,7 @@ fn run_job<F: TimeVaryingField + Sync>(
         scenario::grid_start_spaced(spec.region, job.k, spec.spacing_factor * job.comm_radius)?;
     let eval = EvalOptions::new()
         .parallelism(Parallelism::serial())
-        .cached(spec.cached)
-        .kernel(spec.kernel);
+        .cached(spec.cached);
     // `.config` before `.evaluator`: the evaluator call also installs
     // its (serial) parallelism into the sim config.
     let mut builder = CmaBuilder::new(spec.region, start)
@@ -1170,6 +1170,27 @@ mod tests {
         assert_eq!(minimal.k, vec![4, 9]);
         assert_eq!(minimal.seeds, SweepSpec::default().seeds);
         assert_ne!(minimal.digest().unwrap(), spec.digest().unwrap());
+    }
+
+    #[test]
+    fn specs_naming_the_walk_kernel_are_rejected() {
+        // "raster" is what every job runs: accepted, and the same spec.
+        let raster = SweepSpec::from_json(r#"{"k": [4], "kernel": "raster"}"#).unwrap();
+        assert_eq!(raster, SweepSpec::from_json(r#"{"k": [4]}"#).unwrap());
+        for kernel in [r#""walk""#, r#""simpson""#] {
+            let text = format!(r#"{{"k": [4], "kernel": {kernel}}}"#);
+            match SweepSpec::from_json(&text) {
+                Err(e @ CoreError::InvalidParameter { name: "kernel", .. }) => {
+                    assert!(e.to_string().contains("walk kernel was removed"), "{e}");
+                }
+                other => panic!("kernel {kernel} must be rejected, got {other:?}"),
+            }
+        }
+        // A kernel that is not a string is malformed, not a choice.
+        assert!(matches!(
+            SweepSpec::from_json(r#"{"k": [4], "kernel": 1}"#),
+            Err(CoreError::SnapshotCorrupt { .. })
+        ));
     }
 
     #[test]

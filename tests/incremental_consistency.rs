@@ -1,11 +1,19 @@
-//! Integration: the incremental δ engine against the full pipeline —
-//! cached and uncached evaluation must agree within 1e-9 through
+//! Integration: the δ evaluation path against the full pipeline.
+//! Cached and uncached evaluation must agree within 1e-9 through
 //! survivor subsets, fault-injected simulations, and every thread
-//! count.
+//! count; the raster kernel behind both must match the generic
+//! per-cell quadrature within 1e-9; and FRA placements must not depend
+//! on the thread count at all.
 
+use cps::core::osd::FraBuilder;
 use cps::core::{DeltaEvaluator, EvalOptions};
-use cps::field::{GaussianBlob, GaussianMixtureField, Parallelism, Static};
+use cps::field::delta::{rms_difference_with, volume_difference_with};
+use cps::field::{
+    Field, GaussianBlob, GaussianMixtureField, Parallelism, PeaksField, PlaneField,
+    ReconstructedSurface, Static, TimeVaryingField,
+};
 use cps::geometry::{GridSpec, Point2, Rect};
+use cps::greenorbs::{ForestConfig, LatentLightField};
 use cps::sim::{scenario, CmaBuilder, DeltaTimeline, FaultPlan};
 use proptest::prelude::*;
 
@@ -123,5 +131,188 @@ fn cached_timeline_matches_uncached_under_faults() {
         for (slot, (a, b)) in deltas[0].iter().zip(bits).enumerate() {
             assert!(close(*a, *b), "slot {slot}: {a} vs {b} across threads");
         }
+    }
+}
+
+fn peaks_setting() -> (Rect, GridSpec, PeaksField) {
+    let region = Rect::square(100.0).unwrap();
+    (
+        region,
+        GridSpec::new(region, 51, 51).unwrap(),
+        PeaksField::new(region, 8.0),
+    )
+}
+
+/// δ and RMS of `positions`' reconstruction by the generic per-cell
+/// quadrature, the reference the raster kernel is held to.
+fn generic_quadrature<F: Field + Sync>(
+    reference: &F,
+    region: Rect,
+    grid: &GridSpec,
+    positions: &[Point2],
+) -> (f64, f64) {
+    let samples: Vec<f64> = positions.iter().map(|&p| reference.value(p)).collect();
+    let surface = ReconstructedSurface::from_samples(region, positions, &samples).unwrap();
+    let serial = Parallelism::serial();
+    (
+        volume_difference_with(reference, &surface, grid, serial),
+        rms_difference_with(reference, &surface, grid, serial),
+    )
+}
+
+/// FRA's greedy refinement — argmax choices, relay placement,
+/// everything — picks the *same* deployment at every thread count, and
+/// the tile cache changes nothing but how its δ trajectory is summed.
+#[test]
+fn fra_deployments_are_identical_across_thread_counts() {
+    let (_, grid, f) = peaks_setting();
+    let run = |threads: usize, cached: bool| {
+        FraBuilder::new(30, 10.0)
+            .grid(grid)
+            .evaluator(
+                EvalOptions::new()
+                    .parallelism(Parallelism::fixed(threads))
+                    .cached(cached),
+            )
+            .track_delta(true)
+            .run(&f)
+            .unwrap()
+    };
+    let serial = run(1, false);
+    let serial_trajectory = serial.delta_trajectory.as_deref().unwrap();
+    for threads in [1usize, 2, 8] {
+        for cached in [false, true] {
+            let other = run(threads, cached);
+            assert_eq!(
+                serial.positions, other.positions,
+                "placement diverged at {threads} threads, cached={cached}"
+            );
+            assert_eq!(serial.refined, other.refined);
+            assert_eq!(serial.relays, other.relays);
+            let trajectory = other.delta_trajectory.as_deref().unwrap();
+            assert_eq!(serial_trajectory.len(), trajectory.len());
+            for (a, b) in serial_trajectory.iter().zip(trajectory) {
+                if cached {
+                    assert!(close(*b, *a), "cached trajectory {b} vs {a}");
+                } else {
+                    assert_eq!(a.to_bits(), b.to_bits(), "trajectory at {threads} threads");
+                }
+            }
+        }
+    }
+}
+
+/// DeltaEvaluator matches the generic quadrature within 1e-9 on a full
+/// deployment, at 1/2/8 threads, with the tile cache on and off.
+#[test]
+fn evaluator_matches_generic_quadrature_at_any_thread_count_and_cache_setting() {
+    let (region, g, f) = peaks_setting();
+    let plan = FraBuilder::new(40, 30.0).grid(g).run(&f).unwrap();
+    let (delta, rms) = generic_quadrature(&f, region, &g, &plan.positions);
+    for threads in [1usize, 2, 8] {
+        for cached in [false, true] {
+            let e = DeltaEvaluator::new(&f, &g, 30.0)
+                .parallelism(Parallelism::fixed(threads))
+                .cached(cached)
+                .evaluate(&plan.positions)
+                .unwrap();
+            assert!(
+                close(e.delta, delta),
+                "delta threads={threads} cached={cached}: {} vs {delta}",
+                e.delta
+            );
+            assert!(
+                close(e.rms, rms),
+                "rms threads={threads} cached={cached}: {} vs {rms}",
+                e.rms
+            );
+            assert!(e.connected);
+        }
+    }
+}
+
+/// Survivor-mask evaluation: attrition down to a sub-hull survivor set
+/// matches the generic quadrature of the survivors at any thread
+/// count, and the degenerate regime (fewer than three survivors) is
+/// bit-identical to the constant surface through the survivor mean.
+#[test]
+fn survivor_mask_evaluation_matches_generic_quadrature() {
+    let (region, g, f) = peaks_setting();
+    let plan = FraBuilder::new(30, 30.0).grid(g).run(&f).unwrap();
+    // Kill every third node.
+    let mask: Vec<bool> = (0..plan.positions.len()).map(|i| i % 3 != 0).collect();
+    let survivors: Vec<Point2> = plan
+        .positions
+        .iter()
+        .zip(&mask)
+        .filter_map(|(&p, &alive)| alive.then_some(p))
+        .collect();
+    let (delta, rms) = generic_quadrature(&f, region, &g, &survivors);
+    for threads in [1usize, 2, 8] {
+        let e = DeltaEvaluator::new(&f, &g, 30.0)
+            .survivor_mask(&mask)
+            .parallelism(Parallelism::fixed(threads))
+            .evaluate(&plan.positions)
+            .unwrap();
+        assert!(
+            close(e.delta, delta),
+            "masked delta at {threads} threads: {} vs {delta}",
+            e.delta
+        );
+        assert!(close(e.rms, rms));
+        assert_eq!(e.node_count, survivors.len());
+    }
+    // Two survivors: the constant plane through their mean.
+    let mut two = vec![false; plan.positions.len()];
+    two[0] = true;
+    two[1] = true;
+    let e = DeltaEvaluator::new(&f, &g, 30.0)
+        .survivor_mask(&two)
+        .parallelism(Parallelism::serial())
+        .evaluate(&plan.positions)
+        .unwrap();
+    let mean = (f.value(plan.positions[0]) + f.value(plan.positions[1])) / 2.0;
+    let plane = PlaneField::new(0.0, 0.0, mean);
+    let serial = Parallelism::serial();
+    assert_eq!(
+        e.delta.to_bits(),
+        volume_difference_with(&f, &plane, &g, serial).to_bits()
+    );
+    assert_eq!(
+        e.rms.to_bits(),
+        rms_difference_with(&f, &plane, &g, serial).to_bits()
+    );
+}
+
+/// CMA: the recorded δ timeline of a moving swarm matches the generic
+/// quadrature of the field frozen at each recording instant.
+#[test]
+fn cma_timeline_matches_generic_quadrature() {
+    let field = LatentLightField::new(&ForestConfig::default());
+    let region = Rect::new(Point2::new(20.0, 20.0), Point2::new(120.0, 120.0)).unwrap();
+    let grid = GridSpec::new(region, 51, 51).unwrap();
+    let horizon = if cfg!(debug_assertions) { 6 } else { 20 };
+    let start = scenario::grid_start_spaced(region, 60, 9.3).unwrap();
+    let mut sim = CmaBuilder::new(region, start)
+        .start_time(600.0)
+        .run(&field)
+        .unwrap();
+    let mut timeline = DeltaTimeline::for_simulation(&sim);
+    for slot in 0..=horizon {
+        if slot > 0 {
+            sim.step().unwrap();
+        }
+        if slot % 5 != 0 && slot != horizon {
+            continue;
+        }
+        let recorded = timeline.record(&sim, &grid).unwrap();
+        let frozen = field.at_time(sim.time());
+        let (delta, rms) = generic_quadrature(&frozen, region, &grid, &sim.positions());
+        assert!(
+            close(recorded.delta, delta),
+            "slot {slot}: timeline {} vs {delta}",
+            recorded.delta
+        );
+        assert!(close(recorded.rms, rms), "slot {slot}: rms");
     }
 }
