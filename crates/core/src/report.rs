@@ -12,6 +12,7 @@ use cps_field::{Field, Parallelism};
 use cps_geometry::{coverage_areas, GridSpec, Point2, Rect, Triangulation};
 use cps_linalg::Summary;
 use cps_network::{articulation_points, criticality, network_diameter, UnitDiskGraph};
+use serde::{Deserialize, Serialize};
 
 use crate::{CoreError, DeltaEvaluator, DeploymentEvaluation};
 
@@ -261,7 +262,7 @@ pub struct SurvivabilityTracker {
 /// field public — the serializable face of the tracker, used by
 /// checkpoint/restore so an interrupted run's report picks up exactly
 /// where it stopped.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SurvivabilityState {
     /// Fleet size at deployment.
     pub initial_nodes: usize,

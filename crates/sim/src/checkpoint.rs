@@ -25,38 +25,34 @@
 //!
 //! # On-disk format
 //!
-//! One header line, then a JSON payload:
-//!
-//! ```text
-//! CPSSNAP <version> <fnv1a64 of payload, 16 hex digits> <payload bytes>\n
-//! {...}
-//! ```
-//!
-//! The checksum lives in the header rather than the JSON so it covers
-//! the payload bytes verbatim (and is itself a full-width `u64`, which
-//! JSON numbers cannot carry exactly). Writes are atomic: the bytes go
-//! to a temporary file in the same directory, are fsync'd, and only
-//! then renamed over the final name — a crash at any instant leaves
-//! either the previous snapshot or the new one, never a torn file.
-//! Any corruption — a flipped bit anywhere, truncation, an empty file —
-//! fails the checksum or the structural decode and surfaces as a typed
-//! [`CoreError::SnapshotCorrupt`]; [`CheckpointDir::latest_valid`]
-//! then falls back to the newest snapshot that still verifies.
+//! The envelope of [`crate::envelope`], magic `CPSSNAP`, around the
+//! derived serde tree of [`SimSnapshot`], written atomically. Any
+//! corruption — a flipped bit, truncation, an empty file, a non-finite
+//! number, a fault plan or region that fails validation — is a typed
+//! [`CoreError::SnapshotCorrupt`]; [`CheckpointDir::latest_valid`] then
+//! falls back to the newest snapshot that still verifies.
 
-use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use cps_core::ostd::CmaConfig;
 use cps_core::{
     CoreError, DeploymentEvaluation, EvalOptions, SurvivabilityState, SurvivabilityTracker,
 };
-use cps_geometry::{Point2, Rect};
-use serde_json::Value;
+use cps_geometry::Rect;
+use serde::{Deserialize, Serialize};
 
-use crate::fault::{DeathCause, FaultEvent, FaultPlan, RecoveryPolicy};
+use crate::envelope::{self, corrupt, snapshot_io};
+use crate::fault::{FaultEvent, FaultPlan};
 use crate::{DeltaTimeline, MobileNode};
+
+// Names the unit tests below reach through `use super::*`.
+#[cfg(test)]
+use {
+    crate::envelope::fnv1a64,
+    crate::fault::{DeathCause, RecoveryPolicy},
+    cps_geometry::Point2,
+};
 
 /// Snapshot format version this build reads and writes. Version 2
 /// dropped the per-run quadrature kernel: every δ now runs on the
@@ -73,9 +69,9 @@ const EXTENSION: &str = "cpsnap";
 
 /// Checkpointed fault-injection state: the plan plus everything the
 /// runtime accumulated up to the snapshot slot.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultState {
-    /// The installed schedule (restored through the validating builder).
+    /// The installed schedule (re-validated on restore).
     pub plan: FaultPlan,
     /// Slot cursor — the SplitMix64 stream of every future slot is
     /// derived from `(plan seed, slot)`, so this one integer carries
@@ -84,6 +80,7 @@ pub struct FaultState {
     /// Remaining per-node energy (empty without a battery model).
     pub energy: Vec<f64>,
     /// Per-node stuck-sensor state: `(frozen_time, expiry_slot)`.
+    #[serde(with = "stuck")]
     pub stuck: Vec<Option<(f64, u64)>>,
     /// Everything recorded so far (deaths, partitions, reconnects).
     pub events: Vec<FaultEvent>,
@@ -98,9 +95,10 @@ pub struct FaultState {
 }
 
 /// Checkpointed [`DeltaTimeline`] records (samples + synced events).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimelineState {
     /// The `(time, evaluation)` samples recorded so far.
+    #[serde(with = "samples")]
     pub samples: Vec<(f64, DeploymentEvaluation)>,
     /// Fault events copied into the timeline so far.
     pub events: Vec<FaultEvent>,
@@ -117,7 +115,7 @@ pub struct TimelineState {
 /// bit-identity holds when it is the same field. The free-form
 /// [`label`](SimSnapshot::label) exists so applications can record how
 /// to rebuild theirs (the CLI stores the forest seed there).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimSnapshot {
     /// Free-form application tag (e.g. how to rebuild the field).
     pub label: String,
@@ -140,6 +138,7 @@ pub struct SimSnapshot {
     /// The CMA parameters in effect, including any mid-run overrides.
     pub cma: CmaConfig,
     /// Region of interest.
+    #[serde(with = "crate::envelope::region")]
     pub region: Rect,
     /// The gossiped curvature normalization reference.
     pub curvature_scale: f64,
@@ -205,15 +204,7 @@ impl SimSnapshot {
     /// [`CoreError::SnapshotCorrupt`] when the state contains a
     /// non-finite float (JSON cannot carry it losslessly).
     pub fn to_bytes(&self) -> Result<Vec<u8>, CoreError> {
-        let payload = serde_json::to_string(&self.encode()?).map_err(|e| corrupt(e.to_string()))?;
-        let mut out = format!(
-            "{MAGIC} {SNAPSHOT_VERSION} {:016x} {}\n",
-            fnv1a64(payload.as_bytes()),
-            payload.len()
-        )
-        .into_bytes();
-        out.extend_from_slice(payload.as_bytes());
-        Ok(out)
+        envelope::seal(MAGIC, SNAPSHOT_VERSION, self)
     }
 
     /// Parses and verifies the byte format.
@@ -221,62 +212,17 @@ impl SimSnapshot {
     /// # Errors
     ///
     /// [`CoreError::SnapshotCorrupt`] on bad magic, length or checksum
-    /// mismatch, or a malformed payload;
-    /// [`CoreError::SnapshotVersion`] for an unsupported version.
+    /// mismatch, a malformed payload, or a fault plan that fails the
+    /// builder's validation; [`CoreError::SnapshotVersion`] for an
+    /// unsupported version.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
-        let newline = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| corrupt("missing header line".to_string()))?;
-        let header = std::str::from_utf8(&bytes[..newline])
-            .map_err(|_| corrupt("header is not UTF-8".to_string()))?;
-        let mut parts = header.split_ascii_whitespace();
-        if parts.next() != Some(MAGIC) {
-            return Err(corrupt(format!("bad magic (expected {MAGIC})")));
+        let mut snapshot: SimSnapshot = envelope::open(MAGIC, SNAPSHOT_VERSION, bytes)?;
+        if let Some(fault) = &mut snapshot.fault {
+            fault.plan = std::mem::take(&mut fault.plan)
+                .validated()
+                .map_err(|e| corrupt(format!("plan fails validation: {e}")))?;
         }
-        let version: u32 = parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| corrupt("unreadable version".to_string()))?;
-        if version != SNAPSHOT_VERSION {
-            return Err(CoreError::SnapshotVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let checksum = parts
-            .next()
-            // Canonical form only — 16 lowercase hex digits — so no two
-            // distinct headers verify the same payload.
-            .filter(|v| {
-                v.len() == 16
-                    && v.bytes()
-                        .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-            })
-            .and_then(|v| u64::from_str_radix(v, 16).ok())
-            .ok_or_else(|| corrupt("unreadable checksum".to_string()))?;
-        let length: usize = parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| corrupt("unreadable payload length".to_string()))?;
-        let payload = &bytes[newline + 1..];
-        if payload.len() != length {
-            return Err(corrupt(format!(
-                "truncated payload ({} of {length} bytes)",
-                payload.len()
-            )));
-        }
-        let actual = fnv1a64(payload);
-        if actual != checksum {
-            return Err(corrupt(format!(
-                "checksum mismatch (header {checksum:016x}, payload {actual:016x})"
-            )));
-        }
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| corrupt("payload is not UTF-8".to_string()))?;
-        let value: Value =
-            serde_json::from_str(text).map_err(|e| corrupt(format!("payload is not JSON: {e}")))?;
-        Self::decode(&value)
+        Ok(snapshot)
     }
 
     /// Writes the snapshot to `path` atomically: temp file in the same
@@ -289,7 +235,7 @@ impl SimSnapshot {
     /// [`SimSnapshot::to_bytes`] errors.
     pub fn save(&self, path: &Path) -> Result<u64, CoreError> {
         let bytes = self.to_bytes()?;
-        atomic_write(path, &bytes)?;
+        envelope::atomic_write(path, &bytes)?;
         Ok(bytes.len() as u64)
     }
 
@@ -301,156 +247,69 @@ impl SimSnapshot {
     /// [`SimSnapshot::from_bytes`] errors (with the path filled in) on
     /// verification failures.
     pub fn load(path: &Path) -> Result<Self, CoreError> {
-        let bytes = fs::read(path).map_err(|e| snapshot_io(path, &e))?;
-        Self::from_bytes(&bytes).map_err(|e| match e {
-            CoreError::SnapshotCorrupt { reason, .. } => CoreError::SnapshotCorrupt {
-                path: path.display().to_string(),
-                reason,
-            },
-            other => other,
-        })
+        envelope::read(path, Self::from_bytes)
+    }
+}
+
+/// `#[serde(with)]` codec of the stuck-sensor states: `null` or
+/// `{frozen_time, until}` per node.
+mod stuck {
+    use serde::__private::Error;
+    use serde::{Deserialize, Serialize};
+    use serde_json::Value;
+
+    #[derive(Serialize, Deserialize)]
+    struct Frozen {
+        frozen_time: f64,
+        until: u64,
     }
 
-    // ---- encoding -------------------------------------------------
-
-    fn encode(&self) -> Result<Value, CoreError> {
-        let nodes = self
-            .nodes
+    pub(super) fn serialize(stuck: &[Option<(f64, u64)>]) -> Value {
+        let frozen: Vec<Option<Frozen>> = stuck
             .iter()
-            .map(|n| {
-                Ok(obj([
-                    ("id", int(n.id as u64)?),
-                    ("x", num("node x", n.position.x)?),
-                    ("y", num("node y", n.position.y)?),
-                    ("curvature", num("node curvature", n.curvature)?),
-                    ("traveled", num("node traveled", n.traveled)?),
-                    ("alive", Value::Bool(n.alive)),
-                ]))
-            })
-            .collect::<Result<Vec<Value>, CoreError>>()?;
-        let fault = match &self.fault {
-            Some(f) => encode_fault(f)?,
-            None => Value::Null,
-        };
-        let timeline = match &self.timeline {
-            Some(t) => encode_timeline(t)?,
-            None => Value::Null,
-        };
-        let survivability = match &self.survivability {
-            Some(s) => encode_survivability(s)?,
-            None => Value::Null,
-        };
-        Ok(obj([
-            ("label", Value::String(self.label.clone())),
-            ("slot", int(self.slot)?),
-            ("time", num("time", self.time)?),
-            ("time_step", num("time_step", self.time_step)?),
-            ("sense_spacing", num("sense_spacing", self.sense_spacing)?),
-            ("comm_radius", num("comm_radius", self.comm_radius)?),
-            (
-                "sensing_radius",
-                num("sensing_radius", self.sensing_radius)?,
-            ),
-            ("max_speed", num("max_speed", self.max_speed)?),
-            ("beta", num("beta", self.beta)?),
-            ("cma", encode_cma(&self.cma)?),
-            (
-                "region",
-                obj([
-                    ("min_x", num("region min_x", self.region.min().x)?),
-                    ("min_y", num("region min_y", self.region.min().y)?),
-                    ("max_x", num("region max_x", self.region.max().x)?),
-                    ("max_y", num("region max_y", self.region.max().y)?),
-                ]),
-            ),
-            (
-                "curvature_scale",
-                num("curvature_scale", self.curvature_scale)?,
-            ),
-            ("eval_cached", Value::Bool(self.eval_cached)),
-            (
-                "pipeline",
-                Value::Array(
-                    self.pipeline
-                        .iter()
-                        .map(|s| Value::String(s.clone()))
-                        .collect(),
-                ),
-            ),
-            ("nodes", Value::Array(nodes)),
-            ("fault", fault),
-            ("timeline", timeline),
-            ("survivability", survivability),
-        ]))
+            .map(|s| s.map(|(frozen_time, until)| Frozen { frozen_time, until }))
+            .collect();
+        frozen.serialize()
     }
 
-    // ---- decoding -------------------------------------------------
+    pub(super) fn deserialize(v: &Value) -> Result<Vec<Option<(f64, u64)>>, Error> {
+        let frozen = Vec::<Option<Frozen>>::deserialize(v)?;
+        Ok(frozen
+            .into_iter()
+            .map(|s| s.map(|f| (f.frozen_time, f.until)))
+            .collect())
+    }
+}
 
-    fn decode(value: &Value) -> Result<Self, CoreError> {
-        let region = {
-            let r = get(value, "region")?;
-            Rect::new(
-                Point2::new(dec_f64(r, "min_x")?, dec_f64(r, "min_y")?),
-                Point2::new(dec_f64(r, "max_x")?, dec_f64(r, "max_y")?),
-            )
-            .map_err(|e| corrupt(format!("region: {e}")))?
-        };
-        let nodes = get(value, "nodes")?
-            .as_array()
-            .ok_or_else(|| corrupt("nodes must be an array".to_string()))?
+/// `#[serde(with)]` codec of the timeline samples: one object per
+/// sample, the evaluation's fields beside `time`.
+mod samples {
+    use cps_core::DeploymentEvaluation;
+    use serde::__private::Error;
+    use serde::{Deserialize, Serialize};
+    use serde_json::Value;
+
+    #[derive(Serialize, Deserialize)]
+    struct Sample {
+        time: f64,
+        #[serde(flatten)]
+        evaluation: DeploymentEvaluation,
+    }
+
+    pub(super) fn serialize(samples: &[(f64, DeploymentEvaluation)]) -> Value {
+        let samples: Vec<Sample> = samples
             .iter()
-            .map(|n| {
-                Ok(MobileNode {
-                    id: dec_u64(n, "id")? as usize,
-                    position: Point2::new(dec_f64(n, "x")?, dec_f64(n, "y")?),
-                    curvature: dec_f64(n, "curvature")?,
-                    traveled: dec_f64(n, "traveled")?,
-                    alive: dec_bool(n, "alive")?,
-                })
-            })
-            .collect::<Result<Vec<MobileNode>, CoreError>>()?;
-        let fault = match get(value, "fault")? {
-            Value::Null => None,
-            f => Some(decode_fault(f)?),
-        };
-        let timeline = match get(value, "timeline")? {
-            Value::Null => None,
-            t => Some(decode_timeline(t)?),
-        };
-        let survivability = match get(value, "survivability")? {
-            Value::Null => None,
-            s => Some(decode_survivability(s)?),
-        };
-        let pipeline = get(value, "pipeline")?
-            .as_array()
-            .ok_or_else(|| corrupt("pipeline must be an array".to_string()))?
-            .iter()
-            .map(|s| {
-                s.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| corrupt("pipeline stage names must be strings".to_string()))
-            })
-            .collect::<Result<Vec<String>, CoreError>>()?;
-        Ok(SimSnapshot {
-            label: dec_str(value, "label")?,
-            slot: dec_u64(value, "slot")?,
-            time: dec_f64(value, "time")?,
-            time_step: dec_f64(value, "time_step")?,
-            sense_spacing: dec_f64(value, "sense_spacing")?,
-            comm_radius: dec_f64(value, "comm_radius")?,
-            sensing_radius: dec_f64(value, "sensing_radius")?,
-            max_speed: dec_f64(value, "max_speed")?,
-            beta: dec_f64(value, "beta")?,
-            cma: decode_cma(get(value, "cma")?)?,
-            region,
-            curvature_scale: dec_f64(value, "curvature_scale")?,
-            eval_cached: dec_bool(value, "eval_cached")?,
-            pipeline,
-            nodes,
-            fault,
-            timeline,
-            survivability,
-        })
+            .map(|&(time, evaluation)| Sample { time, evaluation })
+            .collect();
+        samples.serialize()
+    }
+
+    pub(super) fn deserialize(v: &Value) -> Result<Vec<(f64, DeploymentEvaluation)>, Error> {
+        let samples = Vec::<Sample>::deserialize(v)?;
+        Ok(samples
+            .into_iter()
+            .map(|s| (s.time, s.evaluation))
+            .collect())
     }
 }
 
@@ -620,630 +479,6 @@ impl CheckpointDir {
         }
         Ok(())
     }
-}
-
-// ---- shared helpers ---------------------------------------------------
-// (pub(crate): the sweep manifest reuses the same header format,
-// checksum, atomic-write path, and JSON codec discipline.)
-
-/// Writes `bytes` to `path` atomically: temp file in the same
-/// directory, fsync, rename, best-effort directory fsync. A crash at
-/// any instant leaves either the previous file or the new one, never a
-/// torn write.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CoreError> {
-    let tmp = path.with_extension("tmp");
-    let write = || -> std::io::Result<()> {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp, path)?;
-        #[cfg(unix)]
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            // Make the rename itself durable; best-effort (some
-            // filesystems refuse directory fsync).
-            if let Ok(d) = fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    };
-    write().map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        snapshot_io(path, &e)
-    })
-}
-
-/// FNV-1a, 64-bit: dependency-free integrity checksum. Not
-/// cryptographic — it guards against torn writes and bit rot, not
-/// adversaries.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-pub(crate) fn corrupt(reason: String) -> CoreError {
-    CoreError::SnapshotCorrupt {
-        path: String::new(),
-        reason,
-    }
-}
-
-pub(crate) fn snapshot_io(path: &Path, e: &std::io::Error) -> CoreError {
-    CoreError::SnapshotIo {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    }
-}
-
-pub(crate) fn obj<const N: usize>(entries: [(&str, Value); N]) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<String, Value>>(),
-    )
-}
-
-/// Encodes a float, rejecting non-finite values (JSON would silently
-/// turn them into `null`).
-pub(crate) fn num(what: &str, x: f64) -> Result<Value, CoreError> {
-    if x.is_finite() {
-        Ok(Value::Number(x))
-    } else {
-        Err(corrupt(format!("{what} is not finite ({x})")))
-    }
-}
-
-/// Encodes an unsigned integer; JSON numbers are `f64`, exact only up
-/// to 2^53 (slot counts and ids are far below; the plan *seed* is a
-/// full-width `u64` and travels as a string instead).
-pub(crate) fn int(x: u64) -> Result<Value, CoreError> {
-    const MAX_EXACT: u64 = 1 << 53;
-    if x <= MAX_EXACT {
-        Ok(Value::Number(x as f64))
-    } else {
-        Err(corrupt(format!("integer {x} exceeds JSON's exact range")))
-    }
-}
-
-pub(crate) fn get<'a>(value: &'a Value, key: &str) -> Result<&'a Value, CoreError> {
-    value
-        .get(key)
-        .ok_or_else(|| corrupt(format!("missing field {key}")))
-}
-
-pub(crate) fn dec_f64(value: &Value, key: &str) -> Result<f64, CoreError> {
-    get(value, key)?
-        .as_f64()
-        .filter(|x| x.is_finite())
-        .ok_or_else(|| corrupt(format!("field {key} must be a finite number")))
-}
-
-pub(crate) fn dec_u64(value: &Value, key: &str) -> Result<u64, CoreError> {
-    get(value, key)?
-        .as_u64()
-        .ok_or_else(|| corrupt(format!("field {key} must be an unsigned integer")))
-}
-
-pub(crate) fn dec_bool(value: &Value, key: &str) -> Result<bool, CoreError> {
-    get(value, key)?
-        .as_bool()
-        .ok_or_else(|| corrupt(format!("field {key} must be a boolean")))
-}
-
-pub(crate) fn dec_str(value: &Value, key: &str) -> Result<String, CoreError> {
-    Ok(get(value, key)?
-        .as_str()
-        .ok_or_else(|| corrupt(format!("field {key} must be a string")))?
-        .to_string())
-}
-
-fn dec_opt_u64(value: &Value, key: &str) -> Result<Option<u64>, CoreError> {
-    match get(value, key)? {
-        Value::Null => Ok(None),
-        v => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| corrupt(format!("field {key} must be null or an unsigned integer"))),
-    }
-}
-
-fn dec_opt_f64(value: &Value, key: &str) -> Result<Option<f64>, CoreError> {
-    match get(value, key)? {
-        Value::Null => Ok(None),
-        v => v
-            .as_f64()
-            .filter(|x| x.is_finite())
-            .map(Some)
-            .ok_or_else(|| corrupt(format!("field {key} must be null or a finite number"))),
-    }
-}
-
-// ---- CMA config -------------------------------------------------------
-
-fn encode_cma(cma: &CmaConfig) -> Result<Value, CoreError> {
-    Ok(obj([
-        ("comm_radius", num("cma comm_radius", cma.comm_radius)?),
-        (
-            "sensing_radius",
-            num("cma sensing_radius", cma.sensing_radius)?,
-        ),
-        ("beta", num("cma beta", cma.beta)?),
-        ("curvature_gain", num("curvature_gain", cma.curvature_gain)?),
-        ("peak_gain", num("peak_gain", cma.peak_gain)?),
-        (
-            "curvature_scale",
-            num("cma curvature_scale", cma.curvature_scale)?,
-        ),
-        (
-            "weight_exponent",
-            num("weight_exponent", cma.weight_exponent)?,
-        ),
-        ("weight_floor", num("weight_floor", cma.weight_floor)?),
-        ("stop_threshold", num("stop_threshold", cma.stop_threshold)?),
-    ]))
-}
-
-fn decode_cma(value: &Value) -> Result<CmaConfig, CoreError> {
-    Ok(CmaConfig {
-        comm_radius: dec_f64(value, "comm_radius")?,
-        sensing_radius: dec_f64(value, "sensing_radius")?,
-        beta: dec_f64(value, "beta")?,
-        curvature_gain: dec_f64(value, "curvature_gain")?,
-        peak_gain: dec_f64(value, "peak_gain")?,
-        curvature_scale: dec_f64(value, "curvature_scale")?,
-        weight_exponent: dec_f64(value, "weight_exponent")?,
-        weight_floor: dec_f64(value, "weight_floor")?,
-        stop_threshold: dec_f64(value, "stop_threshold")?,
-    })
-}
-
-// ---- fault state ------------------------------------------------------
-
-fn encode_fault(f: &FaultState) -> Result<Value, CoreError> {
-    let plan = &f.plan;
-    let kills = plan
-        .kills
-        .iter()
-        .map(|&(slot, node)| Ok(Value::Array(vec![int(slot)?, int(node as u64)?])))
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let culls = plan
-        .culls
-        .iter()
-        .map(|&(slot, frac)| Ok(Value::Array(vec![int(slot)?, num("cull fraction", frac)?])))
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let battery = match plan.battery {
-        Some(b) => obj([
-            ("capacity", num("battery capacity", b.capacity)?),
-            ("idle_drain", num("battery idle_drain", b.idle_drain)?),
-            ("move_drain", num("battery move_drain", b.move_drain)?),
-        ]),
-        None => Value::Null,
-    };
-    let recovery = match plan.recovery {
-        RecoveryPolicy::Auto => "auto",
-        RecoveryPolicy::On => "on",
-        RecoveryPolicy::Off => "off",
-    };
-    let energy = f
-        .energy
-        .iter()
-        .map(|&e| num("battery energy", e))
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let stuck = f
-        .stuck
-        .iter()
-        .map(|s| match s {
-            Some((frozen_time, until)) => Ok(obj([
-                ("frozen_time", num("stuck frozen_time", *frozen_time)?),
-                ("until", int(*until)?),
-            ])),
-            None => Ok(Value::Null),
-        })
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let events = f
-        .events
-        .iter()
-        .map(encode_event)
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    Ok(obj([
-        (
-            "plan",
-            obj([
-                // Full-width u64: JSON numbers are f64, so the seed
-                // travels as a decimal string.
-                ("seed", Value::String(plan.seed.to_string())),
-                ("kills", Value::Array(kills)),
-                ("culls", Value::Array(culls)),
-                ("death_rate", num("death_rate", plan.death_rate)?),
-                ("battery", battery),
-                ("dropout_rate", num("dropout_rate", plan.dropout_rate)?),
-                ("outlier_rate", num("outlier_rate", plan.outlier_rate)?),
-                (
-                    "outlier_magnitude",
-                    num("outlier_magnitude", plan.outlier_magnitude)?,
-                ),
-                ("stuck_rate", num("stuck_rate", plan.stuck_rate)?),
-                ("stuck_slots", int(plan.stuck_slots)?),
-                ("link_loss", num("link_loss", plan.link_loss)?),
-                ("link_retries", int(u64::from(plan.link_retries))?),
-                ("recovery", Value::String(recovery.to_string())),
-            ]),
-        ),
-        ("slot", int(f.slot)?),
-        ("energy", Value::Array(energy)),
-        ("stuck", Value::Array(stuck)),
-        ("events", Value::Array(events)),
-        (
-            "partition_since",
-            match f.partition_since {
-                Some(s) => int(s)?,
-                None => Value::Null,
-            },
-        ),
-        ("deaths_total", int(f.deaths_total as u64)?),
-        ("retried_total", int(f.retried_total as u64)?),
-        ("dropped_total", int(f.dropped_total as u64)?),
-    ]))
-}
-
-fn decode_fault(value: &Value) -> Result<FaultState, CoreError> {
-    let p = get(value, "plan")?;
-    let mut builder = FaultPlan::builder().seed(
-        get(p, "seed")?
-            .as_str()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| corrupt("plan seed must be a u64 string".to_string()))?,
-    );
-    for kill in get(p, "kills")?
-        .as_array()
-        .ok_or_else(|| corrupt("plan kills must be an array".to_string()))?
-    {
-        let pair = kill
-            .as_array()
-            .filter(|a| a.len() == 2)
-            .ok_or_else(|| corrupt("plan kill must be [slot, node]".to_string()))?;
-        let slot = pair[0]
-            .as_u64()
-            .ok_or_else(|| corrupt("kill slot must be an integer".to_string()))?;
-        let node = pair[1]
-            .as_u64()
-            .ok_or_else(|| corrupt("kill node must be an integer".to_string()))?;
-        builder = builder.kill(node as usize, slot);
-    }
-    for cull in get(p, "culls")?
-        .as_array()
-        .ok_or_else(|| corrupt("plan culls must be an array".to_string()))?
-    {
-        let pair = cull
-            .as_array()
-            .filter(|a| a.len() == 2)
-            .ok_or_else(|| corrupt("plan cull must be [slot, fraction]".to_string()))?;
-        let slot = pair[0]
-            .as_u64()
-            .ok_or_else(|| corrupt("cull slot must be an integer".to_string()))?;
-        let frac = pair[1]
-            .as_f64()
-            .ok_or_else(|| corrupt("cull fraction must be a number".to_string()))?;
-        builder = builder.cull(frac, slot);
-    }
-    builder = builder.death_rate(dec_f64(p, "death_rate")?);
-    if let Some(b) = match get(p, "battery")? {
-        Value::Null => None,
-        b => Some(b),
-    } {
-        builder = builder.battery(
-            dec_f64(b, "capacity")?,
-            dec_f64(b, "idle_drain")?,
-            dec_f64(b, "move_drain")?,
-        );
-    }
-    builder = builder
-        .sensor_dropout(dec_f64(p, "dropout_rate")?)
-        .reading_outlier(
-            dec_f64(p, "outlier_rate")?,
-            dec_f64(p, "outlier_magnitude")?,
-        )
-        .stuck_at(dec_f64(p, "stuck_rate")?, dec_u64(p, "stuck_slots")?)
-        .link_loss(dec_f64(p, "link_loss")?, dec_u64(p, "link_retries")? as u32)
-        .recovery(match dec_str(p, "recovery")?.as_str() {
-            "auto" => RecoveryPolicy::Auto,
-            "on" => RecoveryPolicy::On,
-            "off" => RecoveryPolicy::Off,
-            other => return Err(corrupt(format!("unknown recovery policy {other:?}"))),
-        });
-    let plan = builder
-        .build()
-        .map_err(|e| corrupt(format!("plan fails validation: {e}")))?;
-    let energy = get(value, "energy")?
-        .as_array()
-        .ok_or_else(|| corrupt("fault energy must be an array".to_string()))?
-        .iter()
-        .map(|e| {
-            e.as_f64()
-                .filter(|x| x.is_finite())
-                .ok_or_else(|| corrupt("energy entries must be finite numbers".to_string()))
-        })
-        .collect::<Result<Vec<f64>, CoreError>>()?;
-    let stuck = get(value, "stuck")?
-        .as_array()
-        .ok_or_else(|| corrupt("fault stuck must be an array".to_string()))?
-        .iter()
-        .map(|s| match s {
-            Value::Null => Ok(None),
-            s => Ok(Some((dec_f64(s, "frozen_time")?, dec_u64(s, "until")?))),
-        })
-        .collect::<Result<Vec<Option<(f64, u64)>>, CoreError>>()?;
-    let events = decode_events(get(value, "events")?)?;
-    Ok(FaultState {
-        plan,
-        slot: dec_u64(value, "slot")?,
-        energy,
-        stuck,
-        events,
-        partition_since: dec_opt_u64(value, "partition_since")?,
-        deaths_total: dec_u64(value, "deaths_total")? as usize,
-        retried_total: dec_u64(value, "retried_total")? as usize,
-        dropped_total: dec_u64(value, "dropped_total")? as usize,
-    })
-}
-
-// ---- fault events -----------------------------------------------------
-
-fn encode_event(event: &FaultEvent) -> Result<Value, CoreError> {
-    match *event {
-        FaultEvent::Death {
-            slot,
-            time,
-            node,
-            cause,
-        } => Ok(obj([
-            ("kind", Value::String("death".to_string())),
-            ("slot", int(slot)?),
-            ("time", num("event time", time)?),
-            ("node", int(node as u64)?),
-            (
-                "cause",
-                Value::String(
-                    match cause {
-                        DeathCause::Scheduled => "scheduled",
-                        DeathCause::Battery => "battery",
-                        DeathCause::Random => "random",
-                    }
-                    .to_string(),
-                ),
-            ),
-        ])),
-        FaultEvent::Partition {
-            slot,
-            time,
-            components,
-            critical,
-        } => Ok(obj([
-            ("kind", Value::String("partition".to_string())),
-            ("slot", int(slot)?),
-            ("time", num("event time", time)?),
-            ("components", int(components as u64)?),
-            ("critical", int(critical as u64)?),
-        ])),
-        FaultEvent::Reconnected {
-            slot,
-            time,
-            after_slots,
-        } => Ok(obj([
-            ("kind", Value::String("reconnected".to_string())),
-            ("slot", int(slot)?),
-            ("time", num("event time", time)?),
-            ("after_slots", int(after_slots)?),
-        ])),
-    }
-}
-
-fn decode_events(value: &Value) -> Result<Vec<FaultEvent>, CoreError> {
-    value
-        .as_array()
-        .ok_or_else(|| corrupt("events must be an array".to_string()))?
-        .iter()
-        .map(|e| {
-            let slot = dec_u64(e, "slot")?;
-            let time = dec_f64(e, "time")?;
-            match dec_str(e, "kind")?.as_str() {
-                "death" => Ok(FaultEvent::Death {
-                    slot,
-                    time,
-                    node: dec_u64(e, "node")? as usize,
-                    cause: match dec_str(e, "cause")?.as_str() {
-                        "scheduled" => DeathCause::Scheduled,
-                        "battery" => DeathCause::Battery,
-                        "random" => DeathCause::Random,
-                        other => return Err(corrupt(format!("unknown death cause {other:?}"))),
-                    },
-                }),
-                "partition" => Ok(FaultEvent::Partition {
-                    slot,
-                    time,
-                    components: dec_u64(e, "components")? as usize,
-                    critical: dec_u64(e, "critical")? as usize,
-                }),
-                "reconnected" => Ok(FaultEvent::Reconnected {
-                    slot,
-                    time,
-                    after_slots: dec_u64(e, "after_slots")?,
-                }),
-                other => Err(corrupt(format!("unknown event kind {other:?}"))),
-            }
-        })
-        .collect()
-}
-
-// ---- timeline ---------------------------------------------------------
-
-fn encode_timeline(t: &TimelineState) -> Result<Value, CoreError> {
-    let samples = t
-        .samples
-        .iter()
-        .map(|&(time, e)| {
-            Ok(obj([
-                ("time", num("sample time", time)?),
-                ("delta", num("sample delta", e.delta)?),
-                ("rms", num("sample rms", e.rms)?),
-                ("connected", Value::Bool(e.connected)),
-                ("node_count", int(e.node_count as u64)?),
-            ]))
-        })
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let events = t
-        .events
-        .iter()
-        .map(encode_event)
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    Ok(obj([
-        ("samples", Value::Array(samples)),
-        ("events", Value::Array(events)),
-        ("events_synced", int(t.events_synced as u64)?),
-    ]))
-}
-
-fn decode_timeline(value: &Value) -> Result<TimelineState, CoreError> {
-    let samples = get(value, "samples")?
-        .as_array()
-        .ok_or_else(|| corrupt("timeline samples must be an array".to_string()))?
-        .iter()
-        .map(|s| {
-            Ok((
-                dec_f64(s, "time")?,
-                DeploymentEvaluation {
-                    delta: dec_f64(s, "delta")?,
-                    rms: dec_f64(s, "rms")?,
-                    connected: dec_bool(s, "connected")?,
-                    node_count: dec_u64(s, "node_count")? as usize,
-                },
-            ))
-        })
-        .collect::<Result<Vec<(f64, DeploymentEvaluation)>, CoreError>>()?;
-    Ok(TimelineState {
-        samples,
-        events: decode_events(get(value, "events")?)?,
-        events_synced: dec_u64(value, "events_synced")? as usize,
-    })
-}
-
-// ---- survivability ----------------------------------------------------
-
-fn encode_survivability(s: &SurvivabilityState) -> Result<Value, CoreError> {
-    let degradation = s
-        .degradation
-        .iter()
-        .map(|&(dead, delta)| {
-            Ok(Value::Array(vec![
-                num("degradation fraction", dead)?,
-                num("degradation delta", delta)?,
-            ]))
-        })
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let reconnect_times = s
-        .reconnect_times
-        .iter()
-        .map(|&t| num("reconnect time", t))
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let critical = s
-        .critical_nodes
-        .iter()
-        .map(|&n| int(n as u64))
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    Ok(obj([
-        ("initial_nodes", int(s.initial_nodes as u64)?),
-        ("last_alive", int(s.last_alive as u64)?),
-        (
-            "baseline_delta",
-            match s.baseline_delta {
-                Some(d) => num("baseline_delta", d)?,
-                None => Value::Null,
-            },
-        ),
-        (
-            "final_delta",
-            match s.final_delta {
-                Some(d) => num("final_delta", d)?,
-                None => Value::Null,
-            },
-        ),
-        ("degradation", Value::Array(degradation)),
-        ("partitions", int(s.partitions as u64)?),
-        ("reconnects", int(s.reconnects as u64)?),
-        ("reconnect_times", Value::Array(reconnect_times)),
-        (
-            "partition_open_since",
-            match s.partition_open_since {
-                Some(t) => num("partition_open_since", t)?,
-                None => Value::Null,
-            },
-        ),
-        ("messages", int(s.messages as u64)?),
-        ("retried", int(s.retried as u64)?),
-        ("dropped", int(s.dropped as u64)?),
-        ("critical_nodes", Value::Array(critical)),
-    ]))
-}
-
-fn decode_survivability(value: &Value) -> Result<SurvivabilityState, CoreError> {
-    let degradation = get(value, "degradation")?
-        .as_array()
-        .ok_or_else(|| corrupt("degradation must be an array".to_string()))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_array()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| corrupt("degradation entries must be [dead, delta]".to_string()))?;
-            let dead = pair[0]
-                .as_f64()
-                .ok_or_else(|| corrupt("degradation fraction must be a number".to_string()))?;
-            let delta = pair[1]
-                .as_f64()
-                .ok_or_else(|| corrupt("degradation delta must be a number".to_string()))?;
-            Ok((dead, delta))
-        })
-        .collect::<Result<Vec<(f64, f64)>, CoreError>>()?;
-    let reconnect_times = get(value, "reconnect_times")?
-        .as_array()
-        .ok_or_else(|| corrupt("reconnect_times must be an array".to_string()))?
-        .iter()
-        .map(|t| {
-            t.as_f64()
-                .ok_or_else(|| corrupt("reconnect times must be numbers".to_string()))
-        })
-        .collect::<Result<Vec<f64>, CoreError>>()?;
-    let critical_nodes = get(value, "critical_nodes")?
-        .as_array()
-        .ok_or_else(|| corrupt("critical_nodes must be an array".to_string()))?
-        .iter()
-        .map(|n| {
-            n.as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| corrupt("critical nodes must be integers".to_string()))
-        })
-        .collect::<Result<Vec<usize>, CoreError>>()?;
-    Ok(SurvivabilityState {
-        initial_nodes: dec_u64(value, "initial_nodes")? as usize,
-        last_alive: dec_u64(value, "last_alive")? as usize,
-        baseline_delta: dec_opt_f64(value, "baseline_delta")?,
-        final_delta: dec_opt_f64(value, "final_delta")?,
-        degradation,
-        partitions: dec_u64(value, "partitions")? as usize,
-        reconnects: dec_u64(value, "reconnects")? as usize,
-        reconnect_times,
-        partition_open_since: dec_opt_f64(value, "partition_open_since")?,
-        messages: dec_u64(value, "messages")? as usize,
-        retried: dec_u64(value, "retried")? as usize,
-        dropped: dec_u64(value, "dropped")? as usize,
-        critical_nodes,
-    })
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use cps_core::{CoreError, CpsConfig, EvalOptions};
 use cps_field::par::map_rows;
 use cps_field::{Parallelism, TimeVaryingField};
 use cps_geometry::{Point2, Rect};
+use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{FaultState, SimSnapshot};
 use crate::fault::{FaultEvent, FaultPlan, FaultRuntime};
@@ -38,11 +39,12 @@ impl Default for SimConfig {
 }
 
 /// State of one mobile node.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MobileNode {
     /// Stable node index.
     pub id: usize,
     /// Current position.
+    #[serde(flatten)]
     pub position: Point2,
     /// Most recent self-estimated Gaussian curvature (shared with
     /// neighbors in the periodic exchange).

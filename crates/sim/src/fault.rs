@@ -33,9 +33,11 @@ use std::collections::HashSet;
 use cps_core::CoreError;
 use cps_geometry::Point2;
 use cps_network::{RelayPlan, UnitDiskGraph};
+use serde::{Deserialize, Serialize};
 
 /// When the engine re-plans relays to heal a partitioned swarm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum RecoveryPolicy {
     /// Heal partitions iff the plan injects any fault (the default):
     /// a zero-fault plan stays bit-identical to a fault-free run.
@@ -51,7 +53,7 @@ pub enum RecoveryPolicy {
 /// Battery model: every node starts with the same budget and spends it
 /// per slot and per metre moved; an exhausted node dies at the start of
 /// the next slot.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BatteryModel {
     /// Initial energy budget per node (abstract units).
     pub capacity: f64,
@@ -62,7 +64,8 @@ pub struct BatteryModel {
 }
 
 /// Why a node died.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum DeathCause {
     /// A [`FaultPlanBuilder::kill`] or [`FaultPlanBuilder::cull`] entry.
     Scheduled,
@@ -74,7 +77,8 @@ pub enum DeathCause {
 
 /// Something the fault subsystem did or observed, for the event log
 /// recorded alongside δ(t).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "lowercase")]
 pub enum FaultEvent {
     /// A node died at the start of the slot.
     Death {
@@ -130,11 +134,11 @@ pub enum FaultEvent {
 /// let parsed = FaultPlan::parse("seed=42,kill=7@30,loss=0.2:2").unwrap();
 /// assert_eq!(plan, parsed);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
-    // Fields are crate-visible for the checkpoint encoder
-    // (`crate::checkpoint`); the decoder rebuilds plans through
-    // `FaultPlanBuilder`, so restored plans re-pass validation.
+    // Crate-visible for the fault runtime; a decoded plan re-passes
+    // `FaultPlan::validated` like a built one.
+    #[serde(with = "crate::envelope::decimal")]
     pub(crate) seed: u64,
     pub(crate) kills: Vec<(u64, usize)>,
     pub(crate) culls: Vec<(u64, f64)>,
@@ -207,6 +211,59 @@ impl FaultPlan {
     /// The RNG seed.
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// Checks the plan and puts the schedule in canonical order — the
+    /// one validation that both [`FaultPlanBuilder::build`] and snapshot
+    /// decoding run.
+    pub(crate) fn validated(mut self) -> Result<FaultPlan, CoreError> {
+        fn probability(value: f64, name: &'static str) -> Result<(), CoreError> {
+            if (0.0..=1.0).contains(&value) {
+                Ok(())
+            } else {
+                Err(CoreError::InvalidParameter {
+                    name,
+                    requirement: "must be a probability in [0, 1]",
+                })
+            }
+        }
+        probability(self.death_rate, "death_rate")?;
+        probability(self.dropout_rate, "dropout_rate")?;
+        probability(self.outlier_rate, "outlier_rate")?;
+        probability(self.stuck_rate, "stuck_rate")?;
+        probability(self.link_loss, "link_loss")?;
+        for &(_, fraction) in &self.culls {
+            probability(fraction, "cull fraction")?;
+        }
+        if !self.outlier_magnitude.is_finite() {
+            return Err(CoreError::InvalidParameter {
+                name: "outlier_magnitude",
+                requirement: "must be finite",
+            });
+        }
+        if let Some(b) = self.battery {
+            if !(b.capacity > 0.0 && b.capacity.is_finite()) {
+                return Err(CoreError::InvalidParameter {
+                    name: "battery capacity",
+                    requirement: "must be positive and finite",
+                });
+            }
+            if !(b.idle_drain >= 0.0
+                && b.move_drain >= 0.0
+                && b.idle_drain.is_finite()
+                && b.move_drain.is_finite())
+            {
+                return Err(CoreError::InvalidParameter {
+                    name: "battery drain",
+                    requirement: "must be non-negative and finite",
+                });
+            }
+        }
+        self.kills.sort_unstable();
+        self.kills.dedup();
+        self.culls
+            .sort_unstable_by_key(|&(slot, frac)| (slot, frac.to_bits()));
+        Ok(self)
     }
 
     /// Parses the CLI fault spec: comma-separated `key=value` entries.
@@ -470,55 +527,8 @@ impl FaultPlanBuilder {
     /// [`CoreError::InvalidParameter`] when a probability is outside
     /// `[0, 1]`, a magnitude/fraction is not finite, or the battery
     /// model has a non-positive capacity or negative drain.
-    pub fn build(mut self) -> Result<FaultPlan, CoreError> {
-        fn probability(value: f64, name: &'static str) -> Result<(), CoreError> {
-            if (0.0..=1.0).contains(&value) {
-                Ok(())
-            } else {
-                Err(CoreError::InvalidParameter {
-                    name,
-                    requirement: "must be a probability in [0, 1]",
-                })
-            }
-        }
-        probability(self.plan.death_rate, "death_rate")?;
-        probability(self.plan.dropout_rate, "dropout_rate")?;
-        probability(self.plan.outlier_rate, "outlier_rate")?;
-        probability(self.plan.stuck_rate, "stuck_rate")?;
-        probability(self.plan.link_loss, "link_loss")?;
-        for &(_, fraction) in &self.plan.culls {
-            probability(fraction, "cull fraction")?;
-        }
-        if !self.plan.outlier_magnitude.is_finite() {
-            return Err(CoreError::InvalidParameter {
-                name: "outlier_magnitude",
-                requirement: "must be finite",
-            });
-        }
-        if let Some(b) = self.plan.battery {
-            if !(b.capacity > 0.0 && b.capacity.is_finite()) {
-                return Err(CoreError::InvalidParameter {
-                    name: "battery capacity",
-                    requirement: "must be positive and finite",
-                });
-            }
-            if !(b.idle_drain >= 0.0
-                && b.move_drain >= 0.0
-                && b.idle_drain.is_finite()
-                && b.move_drain.is_finite())
-            {
-                return Err(CoreError::InvalidParameter {
-                    name: "battery drain",
-                    requirement: "must be non-negative and finite",
-                });
-            }
-        }
-        self.plan.kills.sort_unstable();
-        self.plan.kills.dedup();
-        self.plan
-            .culls
-            .sort_unstable_by_key(|&(slot, frac)| (slot, frac.to_bits()));
-        Ok(self.plan)
+    pub fn build(self) -> Result<FaultPlan, CoreError> {
+        self.plan.validated()
     }
 }
 

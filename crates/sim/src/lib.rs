@@ -34,6 +34,7 @@
 
 mod checkpoint;
 mod engine;
+mod envelope;
 mod exploration;
 mod fault;
 mod metrics;

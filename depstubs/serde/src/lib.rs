@@ -10,10 +10,26 @@
 //! * [`Deserialize`] reconstructs a value **from** one.
 //!
 //! The `serde_derive` stand-in generates impls of these two traits for
-//! named-field structs and unit-variant enums, and the `serde_json`
-//! stand-in renders/parses the tree as JSON text. The subset is exactly
-//! what this workspace needs: `#[derive(Serialize, Deserialize)]` plus
+//! named-field structs and enums, with a few serde attributes (its
+//! crate docs list them), and the `serde_json` stand-in renders/parses
+//! the tree as JSON text. The subset is exactly what this workspace
+//! needs: `#[derive(Serialize, Deserialize)]` plus
 //! `serde_json::{to_string, to_string_pretty, from_str, Value}`.
+//!
+//! Integers are lossless: a JSON number is an `f64`, exact only up to
+//! 2^53 in magnitude, so integers beyond that serialize as decimal
+//! strings, and only such strings deserialize into integers.
+//!
+//! An attribute the derive does not support is a compile error naming
+//! it:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! #[serde(deny_unknown_fields)] // error: unsupported container attribute `deny_unknown_fields`
+//! struct Strict {
+//!     x: u32,
+//! }
+//! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -36,8 +52,8 @@ pub mod __private {
         Null,
         /// JSON booleans.
         Bool(bool),
-        /// JSON numbers (all stored as `f64`; integers up to 2^53
-        /// round-trip exactly).
+        /// JSON numbers (all stored as `f64`; integers beyond 2^53
+        /// serialize as [`Value::String`] instead).
         Number(f64),
         /// JSON strings.
         String(String),
@@ -80,27 +96,10 @@ pub mod __private {
             }
         }
 
-        /// The number as `u64`, if this is a non-negative integer.
+        /// The value as `u64`, if it is one (see [`crate::Deserialize`]
+        /// for integers beyond 2^53).
         pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                    Some(*n as u64)
-                }
-                _ => None,
-            }
-        }
-
-        /// The boolean, if this is a boolean.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        /// Whether this is `null`.
-        pub fn is_null(&self) -> bool {
-            matches!(self, Value::Null)
+            crate::Deserialize::deserialize(self).ok()
         }
 
         /// Looks up `key` when this is an object (`None` otherwise).
@@ -132,15 +131,56 @@ pub mod __private {
 
     impl std::error::Error for Error {}
 
-    /// Typed lookup of a struct field used by derived `Deserialize`
-    /// impls: a missing key behaves like an explicit `null` (so
-    /// `Option` fields default to `None`).
-    pub fn field<T: crate::Deserialize>(
-        obj: &BTreeMap<String, Value>,
+    /// Reads field `key` of the derived object `v` through `de`. A
+    /// flattened field reads the whole object; a missing key reads as
+    /// `null` (so `Option` fields default to `None`), unless a container
+    /// `default` supplies `fallback`.
+    pub fn field<T>(
+        v: &Value,
         key: &str,
+        flatten: bool,
+        de: impl FnOnce(&Value) -> Result<T, Error>,
+        fallback: Option<T>,
     ) -> Result<T, Error> {
-        T::deserialize(obj.get(key).unwrap_or(&Value::Null))
-            .map_err(|e| Error::custom(format!("field `{key}`: {e}")))
+        let found = if flatten { Some(v) } else { v.get(key) };
+        match (found, fallback) {
+            (None, Some(fallback)) => Ok(fallback),
+            (found, _) => de(found.unwrap_or(&Value::Null))
+                .map_err(|e| Error::custom(format!("field `{key}`: {e}"))),
+        }
+    }
+
+    /// Writes field `key` of a derived object; the entries of a
+    /// flattened object join `map` (any other value keeps its key).
+    pub fn insert(map: &mut BTreeMap<String, Value>, key: &str, flatten: bool, value: Value) {
+        match value {
+            Value::Object(entries) if flatten => map.extend(entries),
+            value => {
+                map.insert(key.to_string(), value);
+            }
+        }
+    }
+
+    /// The object a derived struct or tagged enum reads its fields from.
+    pub fn object<'a>(v: &'a Value, ty: &str) -> Result<&'a BTreeMap<String, Value>, Error> {
+        v.as_object()
+            .ok_or_else(|| Error::custom(format!("expected object for {ty}")))
+    }
+
+    /// The variant name of a derived enum: the string itself, or the
+    /// string under `tag` of an internally tagged one.
+    pub fn variant<'a>(v: &'a Value, tag: Option<&str>, ty: &str) -> Result<&'a str, Error> {
+        let name = match tag {
+            Some(tag) => object(v, ty)?.get(tag),
+            None => Some(v),
+        };
+        name.and_then(Value::as_str)
+            .ok_or_else(|| Error::custom(format!("expected a variant name for {ty}")))
+    }
+
+    /// The error for a variant name `ty` does not have.
+    pub fn unknown_variant(name: &str, ty: &str) -> Error {
+        Error::custom(format!("unknown variant `{name}` for {ty}"))
     }
 }
 
@@ -183,8 +223,10 @@ impl Serialize for bool {
 
 impl Deserialize for bool {
     fn deserialize(v: &Value) -> Result<Self, Error> {
-        v.as_bool()
-            .ok_or_else(|| Error::custom("expected boolean"))
+        match v {
+            Value::Bool(b) => Ok(*b),
+            _ => Err(Error::custom("expected boolean")),
+        }
     }
 }
 
@@ -220,37 +262,34 @@ impl Deserialize for f64 {
     }
 }
 
-impl Serialize for f32 {
-    fn serialize(&self) -> Value {
-        Value::Number(f64::from(*self))
-    }
-}
-
-impl Deserialize for f32 {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        v.as_f64()
-            .map(|n| n as f32)
-            .ok_or_else(|| Error::custom("expected number"))
-    }
-}
+/// Largest integer magnitude a JSON number (an `f64`) carries exactly.
+const MAX_EXACT: u128 = 1 << 53;
 
 macro_rules! int_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize(&self) -> Value {
-                Value::Number(*self as f64)
+                let i = *self as i128;
+                if i.unsigned_abs() > MAX_EXACT {
+                    Value::String(i.to_string())
+                } else {
+                    Value::Number(i as f64)
+                }
             }
         }
         impl Deserialize for $t {
             fn deserialize(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Number(n) if n.fract() == 0.0 => {
-                        let i = *n as i128;
-                        <$t>::try_from(i)
-                            .map_err(|_| Error::custom("integer out of range"))
-                    }
-                    _ => Err(Error::custom("expected integer")),
-                }
+                let i = match v {
+                    Value::Number(n) if n.fract() == 0.0 => *n as i128,
+                    // Only the canonical form of an integer beyond 2^53.
+                    Value::String(s) => s
+                        .parse::<i128>()
+                        .ok()
+                        .filter(|i| i.unsigned_abs() > MAX_EXACT && i.to_string() == *s)
+                        .ok_or_else(|| Error::custom("expected integer"))?,
+                    _ => return Err(Error::custom("expected integer")),
+                };
+                <$t>::try_from(i).map_err(|_| Error::custom("integer out of range"))
             }
         }
     )*};
@@ -268,10 +307,9 @@ impl<T: Serialize> Serialize for Option<T> {
 
 impl<T: Deserialize> Deserialize for Option<T> {
     fn deserialize(v: &Value) -> Result<Self, Error> {
-        if v.is_null() {
-            Ok(None)
-        } else {
-            T::deserialize(v).map(Some)
+        match v {
+            Value::Null => Ok(None),
+            v => T::deserialize(v).map(Some),
         }
     }
 }
@@ -312,35 +350,13 @@ impl<A: Serialize, B: Serialize> Serialize for (A, B) {
 
 impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
     fn deserialize(v: &Value) -> Result<Self, Error> {
-        let a = v.as_array().ok_or_else(|| Error::custom("expected array"))?;
+        let a = v
+            .as_array()
+            .ok_or_else(|| Error::custom("expected array"))?;
         if a.len() != 2 {
             return Err(Error::custom("expected 2-element array"));
         }
         Ok((A::deserialize(&a[0])?, B::deserialize(&a[1])?))
-    }
-}
-
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn serialize(&self) -> Value {
-        Value::Array(vec![
-            self.0.serialize(),
-            self.1.serialize(),
-            self.2.serialize(),
-        ])
-    }
-}
-
-impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let a = v.as_array().ok_or_else(|| Error::custom("expected array"))?;
-        if a.len() != 3 {
-            return Err(Error::custom("expected 3-element array"));
-        }
-        Ok((
-            A::deserialize(&a[0])?,
-            B::deserialize(&a[1])?,
-            C::deserialize(&a[2])?,
-        ))
     }
 }
 

@@ -15,9 +15,6 @@ use std::collections::BTreeMap;
 pub use serde::__private::Error;
 pub use serde::__private::Value;
 
-/// The object representation behind [`Value::Object`].
-pub type Map<K, V> = BTreeMap<K, V>;
-
 /// Serializes `value` as compact JSON.
 ///
 /// # Errors
@@ -147,10 +144,7 @@ struct Parser<'a> {
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b' ' | b'\t' | b'\n' | b'\r')
-        ) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
@@ -332,7 +326,7 @@ mod tests {
     #[test]
     fn value_round_trips() {
         let mut obj = BTreeMap::new();
-        obj.insert("pi".to_string(), Value::Number(3.141592653589793));
+        obj.insert("pi".to_string(), Value::Number(std::f64::consts::PI));
         obj.insert("neg".to_string(), Value::Number(-0.001));
         obj.insert("n".to_string(), Value::Number(12345.0));
         obj.insert("s".to_string(), Value::String("a \"b\"\n\\c".to_string()));
