@@ -28,10 +28,11 @@ commands:
   surface   --trace trace.json [--hour 10] [--resolution 101] [--out surface.pgm]
             extract and render the referential light surface
   plan      --trace trace.json [--k 80] [--rc 10] [--hour 10] [--out plan.csv] [--threads N]
-            [--metrics metrics.json] [--cache on]
-            plan a stationary deployment with FRA and report its quality
+            [--metrics metrics.json]
+            plan a stationary deployment with FRA and report its quality;
+            --k must be at least 3 (a surface needs three samples)
   simulate  [--k 100] [--minutes 45] [--seed N] [--svg swarm.svg] [--threads N]
-            [--faults spec] [--report out.json] [--metrics metrics.json] [--cache on]
+            [--faults spec] [--report out.json] [--metrics metrics.json]
             [--optimizer cma|fra|hybrid]
             [--checkpoint-dir DIR] [--checkpoint-every N]
             [--checkpoint-on-fault on] [--resume on]
@@ -55,10 +56,7 @@ commands:
   help      show this text
 
 --threads selects the worker count for grid sweeps (0 = all cores, the
-default); results are identical at any setting. --cache on turns on the
-incremental tile cache for repeated delta evaluations (off by default);
-cached and uncached runs agree to within 1e-9, and a resumed simulation
-keeps the cache setting recorded in its snapshot. Delta is always
+default); results are identical at any setting. Delta is always
 integrated by the raster kernel, which sweeps each triangle of the
 reconstruction with an incremental scanline fill.
 
@@ -69,7 +67,8 @@ algorithm against the light surface frozen at the start hour and holds
 position (the movement loop is skipped); `hybrid` uses the FRA
 placement as the starting formation and then polishes it with the CMA
 movement loop. The flag is ignored on --resume: a checkpoint already
-fixes the formation it was taken from.
+fixes the formation it was taken from. With `cma`, --k must be in
+1..=121, the capacity of the 9.3 m start lattice in the region.
 
 --metrics turns on the instrumentation layer (algorithm counters and
 per-phase wall-clock timers, off by default) and writes the structured
@@ -89,8 +88,23 @@ the region of interest is the paper's 100x100 m window at (20,20)-(120,120).";
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
+/// Spacing of the CMA start lattice, metres (0.93·Rc at the paper's
+/// Rc = 10 m, so every lattice edge starts slack).
+const START_SPACING: f64 = 9.3;
+
+/// The fewest nodes `plan` accepts: its quality report reconstructs a
+/// surface, which needs three samples.
+const PLAN_MIN_K: usize = 3;
+
 fn region() -> Rect {
     Rect::new(Point2::new(20.0, 20.0), Point2::new(120.0, 120.0)).expect("static region")
+}
+
+/// The most nodes the CMA start lattice fits in the region: one per
+/// lattice point of a square grid at [`START_SPACING`].
+fn start_lattice_capacity() -> usize {
+    let side = (region().width().min(region().height()) / START_SPACING).floor() as usize + 1;
+    side * side
 }
 
 fn load_trace(path: &str) -> Result<Dataset, Box<dyn Error>> {
@@ -161,10 +175,13 @@ pub fn plan(args: &Args) -> CmdResult {
     let out = args.string_or("out", "");
     let metrics_path = args.string_or("metrics", "");
     let par = Parallelism::from_threads(args.usize_or("threads", 0)?);
-    let eval = EvalOptions::new()
-        .parallelism(par)
-        .cached(args.bool_or("cache", false)?);
     args.finish()?;
+    if k < PLAN_MIN_K {
+        return Err(format!(
+            "--k must be at least {PLAN_MIN_K} for plan (a surface needs three samples), got {k}"
+        )
+        .into());
+    }
 
     if !metrics_path.is_empty() {
         cps_obs::reset();
@@ -175,7 +192,7 @@ pub fn plan(args: &Args) -> CmdResult {
     let grid = GridSpec::new(region(), 101, 101)?;
     let result = FraBuilder::new(k, rc)
         .grid(grid)
-        .evaluator(eval)
+        .parallelism(par)
         .run(&reference)?;
     println!(
         "FRA placed {k} nodes: {} refinement picks, {} connectivity relays",
@@ -218,10 +235,16 @@ pub fn simulate(args: &Args) -> CmdResult {
     let resume = args.bool_or("resume", false)?;
     let optimizer: OptimizerKind = args.string_or("optimizer", "cma").parse()?;
     let par = Parallelism::from_threads(args.usize_or("threads", 0)?);
-    let eval = EvalOptions::new()
-        .parallelism(par)
-        .cached(args.bool_or("cache", false)?);
+    let eval = EvalOptions::new().parallelism(par);
     args.finish()?;
+    let capacity = start_lattice_capacity();
+    if optimizer == OptimizerKind::Cma && !(1..=capacity).contains(&k) {
+        return Err(format!(
+            "--k must be in 1..={capacity} with --optimizer cma (the capacity of the \
+             {START_SPACING} m start lattice), got {k}"
+        )
+        .into());
+    }
 
     let policy = CheckpointPolicy::every(checkpoint_every).on_fault_event(checkpoint_on_fault);
     if checkpoint_dir.is_empty() && (policy.is_enabled() || resume) {
@@ -268,19 +291,14 @@ pub fn simulate(args: &Args) -> CmdResult {
     let was_resumed = resumed.is_some();
     let (mut sim, timeline, survivability, start_minute) = match resumed {
         Some((snapshot, path)) => {
-            // The cache setting comes from the snapshot, not the flags:
-            // a resume must stay on the recorded arithmetic path. The
-            // optimizer flag is likewise moot — the checkpoint already
-            // fixes the formation it was taken from.
+            // The optimizer flag is moot on resume: the checkpoint
+            // already fixes the formation it was taken from.
             if optimizer != OptimizerKind::Cma {
                 println!("--optimizer is ignored on resume; continuing the checkpointed run");
             }
-            let opts = EvalOptions::new()
-                .parallelism(par)
-                .cached(snapshot.eval_cached);
             let timeline = snapshot
-                .timeline(opts)
-                .unwrap_or_else(|| DeltaTimeline::with_options(opts));
+                .timeline(eval)
+                .unwrap_or_else(|| DeltaTimeline::with_options(eval));
             let survivability = snapshot
                 .survivability_tracker()
                 .unwrap_or_else(|| SurvivabilityTracker::new(snapshot.node_count()));
@@ -300,7 +318,7 @@ pub fn simulate(args: &Args) -> CmdResult {
                 println!("no valid checkpoint in {checkpoint_dir}; starting fresh");
             }
             let start = match optimizer {
-                OptimizerKind::Cma => scenario::grid_start_spaced(region(), k, 9.3)?,
+                OptimizerKind::Cma => scenario::grid_start_spaced(region(), k, START_SPACING)?,
                 OptimizerKind::Fra | OptimizerKind::Hybrid => {
                     let (positions, refined, relays) = EngineBuilder::new(region(), k)
                         .optimizer(optimizer)

@@ -169,3 +169,42 @@ fn resume_refuses_snapshots_of_an_older_format() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn plan_rejects_fewer_than_three_nodes_before_any_work() {
+    // The trace does not exist: the --k check must fire before the
+    // trace is read, let alone before FRA runs.
+    let dir = scratch("plan_small_k");
+    let trace = dir.join("missing.json");
+    for k in ["0", "1", "2"] {
+        let out = cps()
+            .args(["plan", "--trace", trace.to_str().unwrap(), "--k", k])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "--k {k} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--k must be at least 3"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn simulate_with_cma_rejects_k_beyond_the_start_lattice() {
+    let out = cps()
+        .args(["simulate", "--k", "122", "--minutes", "1"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--k must be in 1..=121"), "{stderr}");
+    // The last value in range still fits the lattice.
+    let out = cps()
+        .args(["simulate", "--k", "121", "--minutes", "0"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

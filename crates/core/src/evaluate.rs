@@ -3,13 +3,10 @@
 //!
 //! The single entry point is [`DeltaEvaluator`]: a builder holding the
 //! reference field, grid, and communication radius, with options for
-//! the thread policy, survivor-mask graceful degradation, and the
-//! incremental tile cache ([`cps_field::DeltaCache`]).
+//! the thread policy and survivor-mask graceful degradation.
 
 use cps_field::raster::delta_rms_raster;
-use cps_field::{
-    delta, DeltaCache, Field, FieldError, Parallelism, PlaneField, ReconstructedSurface,
-};
+use cps_field::{delta, Field, FieldError, Parallelism, PlaneField, ReconstructedSurface};
 use cps_geometry::{GridSpec, Point2};
 use cps_network::UnitDiskGraph;
 use serde::{Deserialize, Serialize};
@@ -33,20 +30,15 @@ pub struct DeploymentEvaluation {
 /// Evaluation knobs shared by everything that measures δ:
 /// [`DeltaEvaluator`] itself, plus the FRA and CMA builders via their
 /// `.evaluator(...)` option.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct EvalOptions {
     /// Thread policy for grid sweeps. Results are bit-identical at any
     /// thread count; this only changes wall-clock time.
     pub parallelism: Parallelism,
-    /// Whether δ quadratures go through the incremental tile cache
-    /// ([`cps_field::DeltaCache`]) instead of re-sweeping the full grid.
-    /// Off by default; pays off when the same evaluator sees a sequence
-    /// of slowly changing deployments against a static reference.
-    pub cached: bool,
 }
 
 impl EvalOptions {
-    /// The defaults: [`Parallelism::auto`], cache off.
+    /// The defaults: [`Parallelism::auto`].
     pub fn new() -> Self {
         EvalOptions::default()
     }
@@ -55,21 +47,6 @@ impl EvalOptions {
     pub fn parallelism(mut self, par: Parallelism) -> Self {
         self.parallelism = par;
         self
-    }
-
-    /// Enables or disables the incremental tile cache.
-    pub fn cached(mut self, cached: bool) -> Self {
-        self.cached = cached;
-        self
-    }
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            parallelism: Parallelism::auto(),
-            cached: false,
-        }
     }
 }
 
@@ -87,12 +64,9 @@ impl Default for EvalOptions {
 /// | `evaluate_deployment_with(.., par)` | `.parallelism(par).evaluate(ps)` |
 /// | `evaluate_survivors(..)` | `.survivors(true)` before `.evaluate(ps)` |
 ///
-/// The evaluator is stateful only when [`cached`](DeltaEvaluator::cached)
-/// is on: the tile cache persists across [`evaluate`](DeltaEvaluator::evaluate)
-/// calls, so a sequence of slowly changing deployments re-integrates
-/// only the tiles whose reconstruction triangles changed. Cached and
-/// uncached results agree within 1e-9 (relative), and each is
-/// bit-identical at any thread count.
+/// Every [`evaluate`](DeltaEvaluator::evaluate) call is one full
+/// raster quadrature ([`delta_rms_raster`]), bit-identical at any
+/// thread count.
 ///
 /// # Example
 ///
@@ -117,13 +91,12 @@ pub struct DeltaEvaluator<'f, F> {
     opts: EvalOptions,
     survivors: bool,
     mask: Option<Vec<bool>>,
-    cache: Option<DeltaCache>,
 }
 
 impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
     /// Creates an evaluator for `reference` over `grid` with the given
     /// communication radius ([`EvalOptions::default`] options: auto
-    /// parallelism, cache off, hard errors below three distinct nodes).
+    /// parallelism, hard errors below three distinct nodes).
     pub fn new(reference: &'f F, grid: &GridSpec, comm_radius: f64) -> Self {
         DeltaEvaluator {
             reference,
@@ -132,7 +105,6 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
             opts: EvalOptions::default(),
             survivors: false,
             mask: None,
-            cache: None,
         }
     }
 
@@ -146,12 +118,6 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
     /// Sets the thread policy for the δ and RMS sweeps.
     pub fn parallelism(mut self, par: Parallelism) -> Self {
         self.opts.parallelism = par;
-        self
-    }
-
-    /// Turns the incremental tile cache on or off.
-    pub fn cached(mut self, cached: bool) -> Self {
-        self.opts.cached = cached;
         self
     }
 
@@ -176,32 +142,12 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
         self
     }
 
-    /// Adopts a previously detached tile cache (see
-    /// [`take_cache`](DeltaEvaluator::take_cache)); implies
-    /// [`cached(true)`](DeltaEvaluator::cached). A cache built over a
-    /// different grid is discarded and rebuilt on first use; a cache
-    /// whose reference probes no longer match is re-primed.
-    pub fn with_cache(mut self, cache: DeltaCache) -> Self {
-        self.cache = Some(cache);
-        self.opts.cached = true;
-        self
-    }
-
-    /// Detaches the tile cache so it can outlive this evaluator (e.g.
-    /// across the short-lived frozen-field evaluators a δ timeline
-    /// builds every recording).
-    pub fn take_cache(&mut self) -> Option<DeltaCache> {
-        self.cache.take()
-    }
-
     /// The active options.
     pub fn eval_options(&self) -> EvalOptions {
         self.opts
     }
 
-    /// Evaluates one deployment. With the cache on, successive calls
-    /// re-integrate only the tiles invalidated by the dirty-triangle
-    /// diff against the previous call's reconstruction.
+    /// Evaluates one deployment.
     ///
     /// # Errors
     ///
@@ -211,7 +157,7 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
     ///   [`survivors`](DeltaEvaluator::survivors) absorbs it), a
     ///   position outside the grid's region, or non-finite values.
     /// * [`CoreError::Network`] — invalid communication radius.
-    pub fn evaluate(&mut self, positions: &[Point2]) -> Result<DeploymentEvaluation, CoreError> {
+    pub fn evaluate(&self, positions: &[Point2]) -> Result<DeploymentEvaluation, CoreError> {
         let masked;
         let positions = match &self.mask {
             Some(mask) => {
@@ -235,22 +181,16 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
         match ReconstructedSurface::from_samples(self.grid.rect(), positions, &samples) {
             Ok(surface) => {
                 let graph = UnitDiskGraph::new(positions.to_vec(), self.comm_radius)?;
-                let (delta, rms) = if self.opts.cached {
-                    self.cached_quadrature(&surface)
-                } else {
-                    let totals = delta_rms_raster(self.reference, &surface, &self.grid, par);
-                    (totals.delta, totals.rms)
-                };
+                let totals = delta_rms_raster(self.reference, &surface, &self.grid, par);
                 Ok(DeploymentEvaluation {
-                    delta,
-                    rms,
+                    delta: totals.delta,
+                    rms: totals.rms,
                     connected: graph.is_connected(),
                     node_count: positions.len(),
                 })
             }
             Err(FieldError::TooFewSamples { .. }) if self.survivors => {
-                // The one and only constant-surface fallback: measured
-                // uncached (a plane has no triangles to diff).
+                // The one and only constant-surface fallback.
                 cps_obs::count(cps_obs::Counter::SurvivorFallbacks);
                 let graph = UnitDiskGraph::new(positions.to_vec(), self.comm_radius)?;
                 let surface = constant_fallback(&samples);
@@ -263,23 +203,6 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
             }
             Err(e) => Err(e.into()),
         }
-    }
-
-    fn cached_quadrature(&mut self, surface: &ReconstructedSurface) -> (f64, f64) {
-        let par = self.opts.parallelism;
-        let mut cache = match self.cache.take() {
-            Some(mut c) if c.compatible(&self.grid) => {
-                if !c.reference_matches(self.reference) {
-                    cps_obs::count(cps_obs::Counter::CacheReprimes);
-                    c.reprime(self.reference, par);
-                }
-                c
-            }
-            _ => DeltaCache::new(self.reference, &self.grid, par),
-        };
-        let totals = cache.refresh(surface, par);
-        self.cache = Some(cache);
-        (totals.delta, totals.rms)
     }
 }
 
@@ -337,7 +260,7 @@ mod tests {
             }
             v
         };
-        let mut ev = DeltaEvaluator::new(&f, &grid, 200.0);
+        let ev = DeltaEvaluator::new(&f, &grid, 200.0);
         let coarse = ev.evaluate(&mk(3)).unwrap();
         let fine = ev.evaluate(&mk(7)).unwrap();
         assert!(fine.delta < coarse.delta);
@@ -369,51 +292,6 @@ mod tests {
             assert_eq!(serial.connected, p.connected);
             assert_eq!(serial.node_count, p.node_count);
         }
-    }
-
-    #[test]
-    fn cached_evaluation_matches_uncached_across_a_sequence() {
-        let (region, grid) = setting();
-        let f = PeaksField::new(region, 8.0);
-        let mut cached = DeltaEvaluator::new(&f, &grid, 200.0).cached(true);
-        let mut uncached = DeltaEvaluator::new(&f, &grid, 200.0);
-        let mut nodes: Vec<Point2> = region.corners().to_vec();
-        for p in [
-            Point2::new(37.0, 61.0),
-            Point2::new(70.0, 20.0),
-            Point2::new(12.0, 88.0),
-            Point2::new(55.0, 44.0),
-        ] {
-            nodes.push(p);
-            let a = cached.evaluate(&nodes).unwrap();
-            let b = uncached.evaluate(&nodes).unwrap();
-            assert!(
-                (a.delta - b.delta).abs() <= 1e-9 * b.delta.abs().max(1.0),
-                "delta {} vs {}",
-                a.delta,
-                b.delta
-            );
-            assert!((a.rms - b.rms).abs() <= 1e-9 * b.rms.abs().max(1.0));
-            assert_eq!(a.connected, b.connected);
-            assert_eq!(a.node_count, b.node_count);
-        }
-    }
-
-    #[test]
-    fn cache_detaches_and_reattaches() {
-        let (region, grid) = setting();
-        let f = PeaksField::new(region, 8.0);
-        let nodes: Vec<Point2> = region
-            .corners()
-            .into_iter()
-            .chain([Point2::new(40.0, 30.0)])
-            .collect();
-        let mut ev = DeltaEvaluator::new(&f, &grid, 200.0).cached(true);
-        let first = ev.evaluate(&nodes).unwrap();
-        let cache = ev.take_cache().expect("cache primed by evaluate");
-        let mut ev2 = DeltaEvaluator::new(&f, &grid, 200.0).with_cache(cache);
-        let second = ev2.evaluate(&nodes).unwrap();
-        assert_eq!(first.delta.to_bits(), second.delta.to_bits());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! DESIGN.md for the measurement that motivated the change.
 
 use cps_field::raster::delta_rms_raster;
-use cps_field::{delta, DeltaCache, Field, Parallelism, ReconstructedSurface};
+use cps_field::{delta, Field, Parallelism, ReconstructedSurface};
 use cps_geometry::{GridSpec, Point2, Triangulation};
 use cps_network::{RelayPlan, UnitDiskGraph};
 
@@ -63,10 +63,7 @@ pub struct FraResult {
     pub relays: usize,
     /// δ of the evolving reconstruction after each refinement pick
     /// (one entry per refined node; relays do not change the surface).
-    /// `None` unless [`FraBuilder::track_delta`] was requested. Measured
-    /// through the incremental tile cache when the builder's
-    /// [`EvalOptions::cached`] is on — identical to the full quadrature
-    /// within 1e-9.
+    /// `None` unless [`FraBuilder::track_delta`] was requested.
     pub delta_trajectory: Option<Vec<f64>>,
 }
 
@@ -119,8 +116,7 @@ impl FraBuilder {
 
     /// Sets the evaluation options shared with [`crate::DeltaEvaluator`]
     /// and the CMA simulation builder: the thread policy for the
-    /// local-error sweeps, and whether δ tracking goes through the
-    /// incremental tile cache.
+    /// local-error sweeps and δ tracking.
     pub fn evaluator(mut self, opts: EvalOptions) -> Self {
         self.opts = opts;
         self
@@ -137,10 +133,7 @@ impl FraBuilder {
     }
 
     /// Records δ of the evolving reconstruction after every refinement
-    /// pick into [`FraResult::delta_trajectory`]. With
-    /// [`EvalOptions::cached`] on, each step re-integrates only the
-    /// tiles dirtied by the insertion's Delaunay cavity instead of the
-    /// whole grid.
+    /// pick into [`FraResult::delta_trajectory`].
     pub fn track_delta(mut self, track: bool) -> Self {
         self.track_delta = track;
         self
@@ -187,7 +180,6 @@ impl FraBuilder {
         let mut relays = 0usize;
         let obs_threads = par.threads();
         let mut trajectory: Option<Vec<f64>> = self.track_delta.then(Vec::new);
-        let mut cache: Option<DeltaCache> = None;
 
         loop {
             let remaining = self.k - chosen.len();
@@ -243,7 +235,7 @@ impl FraBuilder {
             // Refinement (line 9): the max-local-error position that
             // keeps the foresight invariant satisfiable.
             let budget_after = remaining - 1;
-            let mut rejected: Vec<usize> = Vec::new();
+            let mut rejected = vec![false; grid.len()];
             let picked = {
                 let _t = cps_obs::time(cps_obs::Phase::FraRefine, obs_threads);
                 loop {
@@ -252,7 +244,7 @@ impl FraBuilder {
                     };
                     if chosen.iter().any(|c| c.distance(candidate) <= 1e-9) {
                         errors.mark_used(candidate);
-                        rejected.push(errors.flat_index_of(candidate));
+                        rejected[errors.flat_index_of(candidate)] = true;
                         cps_obs::count(cps_obs::Counter::ArgmaxRejections);
                         continue;
                     }
@@ -269,7 +261,7 @@ impl FraBuilder {
                     if need <= budget_after {
                         break Some(candidate);
                     }
-                    rejected.push(errors.flat_index_of(candidate));
+                    rejected[errors.flat_index_of(candidate)] = true;
                     cps_obs::count(cps_obs::Counter::ArgmaxRejections);
                 }
             };
@@ -309,7 +301,7 @@ impl FraBuilder {
                         );
                     }
                     if let Some(traj) = trajectory.as_mut() {
-                        traj.push(self.refinement_delta(reference, &grid, &dt, &zs, &mut cache)?);
+                        traj.push(self.refinement_delta(reference, &grid, &dt, &zs)?);
                     }
                 }
                 None => {
@@ -351,15 +343,13 @@ impl FraBuilder {
 
     /// δ of the refinement surface against the reference: the constant
     /// fallback while fewer than three picks exist, the Delaunay
-    /// reconstruction after. With [`EvalOptions::cached`] on, the tile
-    /// cache re-integrates only the tiles dirtied since the last pick.
+    /// reconstruction after.
     fn refinement_delta<F: Field + Sync>(
         &self,
         reference: &F,
         grid: &GridSpec,
         dt: &Triangulation,
         zs: &[f64],
-        cache: &mut Option<DeltaCache>,
     ) -> Result<f64, CoreError> {
         let par = self.opts.parallelism;
         if dt.vertex_count() < 3 {
@@ -367,12 +357,7 @@ impl FraBuilder {
             return Ok(delta::volume_difference_with(reference, &plane, grid, par));
         }
         let surface = ReconstructedSurface::from_triangulation(dt.clone(), zs.to_vec())?;
-        if self.opts.cached {
-            let c = cache.get_or_insert_with(|| DeltaCache::new(reference, grid, par));
-            Ok(c.refresh(&surface, par).delta)
-        } else {
-            Ok(delta_rms_raster(reference, &surface, grid, par).delta)
-        }
+        Ok(delta_rms_raster(reference, &surface, grid, par).delta)
     }
 }
 
@@ -555,7 +540,7 @@ mod tests {
         let f = peaks();
         let g = grid();
         let fra = FraBuilder::new(40, 30.0).grid(g).run(&f).unwrap();
-        let mut ev = DeltaEvaluator::new(&f, &g, 30.0);
+        let ev = DeltaEvaluator::new(&f, &g, 30.0);
         let fra_eval = ev.evaluate(&fra.positions).unwrap();
         assert!(fra_eval.connected);
         let mut rng = StdRng::seed_from_u64(11);
@@ -595,35 +580,53 @@ mod tests {
     }
 
     #[test]
-    fn tracked_trajectory_matches_cached_tracking_and_trends_down() {
+    fn tracked_trajectory_trends_down() {
         let f = peaks();
-        let full = FraBuilder::new(25, 30.0)
+        let tracked = FraBuilder::new(25, 30.0)
             .grid(grid())
             .track_delta(true)
             .run(&f)
             .unwrap();
-        let cached = FraBuilder::new(25, 30.0)
-            .grid(grid())
-            .evaluator(EvalOptions::new().cached(true))
-            .track_delta(true)
-            .run(&f)
-            .unwrap();
-        assert_eq!(full.positions, cached.positions);
-        let a = full.delta_trajectory.as_deref().unwrap();
-        let b = cached.delta_trajectory.as_deref().unwrap();
-        assert_eq!(a.len(), full.refined);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert!(
-                (x - y).abs() <= 1e-9 * y.abs().max(1.0),
-                "full {x} vs cached {y}"
-            );
-        }
+        let a = tracked.delta_trajectory.as_deref().unwrap();
+        assert_eq!(a.len(), tracked.refined);
         // Greedy refinement is not strictly monotone, but the end must
         // beat the start decisively.
         assert!(a.last().unwrap() < &(0.5 * a[0]), "trajectory {a:?}");
-        // Untracked runs carry no trajectory.
-        let untracked = FraBuilder::new(10, 30.0).grid(grid()).run(&f).unwrap();
+        // Untracked runs carry no trajectory, and tracking does not
+        // change the placement.
+        let untracked = FraBuilder::new(25, 30.0).grid(grid()).run(&f).unwrap();
         assert_eq!(untracked.delta_trajectory, None);
+        assert_eq!(untracked.positions, tracked.positions);
+    }
+
+    #[test]
+    fn foresight_rejecting_most_candidates_still_picks_the_argmax() {
+        // k = 3 at Rc = 10 on the 101² grid: after the first pick, every
+        // candidate farther than two hops away breaks the relay budget,
+        // so foresight rejects thousands of cells per pick.
+        let f = peaks();
+        let grid = GridSpec::new(region(), 101, 101).unwrap();
+        let result = FraBuilder::new(3, 10.0)
+            .grid(grid)
+            .parallelism(Parallelism::serial())
+            .run(&f)
+            .unwrap();
+        assert_eq!(result.positions.len(), 3);
+        assert!(UnitDiskGraph::new(result.positions.clone(), 10.0)
+            .unwrap()
+            .is_connected());
+        // The first pick is the global error maximum; every later
+        // refinement pick lies within the relay reach of the first.
+        let errors = LocalErrorGrid::new(
+            grid,
+            &f,
+            &Triangulation::new(region()),
+            &[],
+            Parallelism::serial(),
+        );
+        assert_eq!(result.positions[0], errors.argmax(&[]).unwrap().0);
+        for p in &result.positions[1..result.refined] {
+            assert!(p.distance(result.positions[0]) <= 2.0 * 10.0 + 1e-9);
+        }
     }
 }

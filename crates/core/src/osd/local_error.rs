@@ -156,12 +156,15 @@ impl LocalErrorGrid {
     }
 
     /// The unused grid point with the largest local error, skipping the
-    /// flat indices listed in `rejected`. Returns `None` when every
-    /// position is used or rejected.
-    pub fn argmax(&self, rejected: &[usize]) -> Option<(Point2, f64)> {
+    /// flat indices (see [`LocalErrorGrid::flat_index_of`]) flagged in
+    /// the `rejected` mask; a mask shorter than the grid rejects nothing
+    /// beyond its end, so `&[]` rejects nothing. Ties go to the lowest
+    /// flat index. Returns `None` when every position is used or
+    /// rejected.
+    pub fn argmax(&self, rejected: &[bool]) -> Option<(Point2, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for idx in 0..self.errors.len() {
-            if self.used[idx] || rejected.contains(&idx) {
+            if self.used[idx] || rejected.get(idx).copied().unwrap_or(false) {
                 continue;
             }
             let e = self.errors[idx];
@@ -176,7 +179,7 @@ impl LocalErrorGrid {
         })
     }
 
-    /// Flat index of the grid point nearest `p` (for rejection lists).
+    /// Flat index of the grid point nearest `p` (for rejection masks).
     pub fn flat_index_of(&self, p: Point2) -> usize {
         self.nearest_flat(p)
     }
@@ -280,9 +283,52 @@ mod tests {
         let (grid, dt, zs) = setup(&f);
         let errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         let (p1, _) = errs.argmax(&[]).unwrap();
-        let rejected = vec![errs.flat_index_of(p1)];
+        let mut rejected = vec![false; grid.len()];
+        rejected[errs.flat_index_of(p1)] = true;
         let (p2, _) = errs.argmax(&rejected).unwrap();
         assert_ne!(p1, p2);
+    }
+
+    /// The first maximum of the unrejected cells by a plain scan: the
+    /// picks and tie order `argmax` must reproduce.
+    fn scan(errs: &LocalErrorGrid, rejected: &[bool]) -> Option<(usize, u64)> {
+        let nx = errs.grid().nx();
+        let mut best: Option<(usize, f64)> = None;
+        for idx in (0..errs.grid().len()).filter(|&idx| !rejected[idx]) {
+            let e = errs.error_at(idx % nx, idx / nx);
+            if best.is_none_or(|(_, be)| e > be) {
+                best = Some((idx, e));
+            }
+        }
+        best.map(|(idx, e)| (idx, e.to_bits()))
+    }
+
+    #[test]
+    fn masked_argmax_matches_a_scan_and_breaks_ties_by_index() {
+        let picks = |errs: &LocalErrorGrid, rejected: &[bool]| {
+            errs.argmax(rejected)
+                .map(|(p, e)| (errs.flat_index_of(p), e.to_bits()))
+        };
+        // A flat field leaves (near-)zero error everywhere, so many
+        // cells tie; reject them one by one in flat order.
+        let plane = PlaneField::new(0.0, 0.0, 1.0);
+        let (grid, dt, zs) = setup(&plane);
+        let errs = LocalErrorGrid::new(grid, &plane, &dt, &zs, Parallelism::serial());
+        let mut rejected = vec![false; grid.len()];
+        for idx in 0..grid.len() {
+            assert_eq!(picks(&errs, &rejected), scan(&errs, &rejected));
+            rejected[idx] = true;
+        }
+        assert_eq!(picks(&errs, &rejected), None);
+        // On a busy field, rejecting most cells leaves the maximum of
+        // the rest.
+        let f = GaussianBlob::isotropic(Point2::new(3.0, 7.0), 2.0, 4.0);
+        let (grid, dt, zs) = setup(&f);
+        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
+        for keep in 0..7 {
+            let rejected: Vec<bool> = (0..grid.len()).map(|idx| idx % 7 != keep).collect();
+            assert_eq!(picks(&errs, &rejected), scan(&errs, &rejected));
+        }
     }
 
     #[test]

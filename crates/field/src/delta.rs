@@ -37,8 +37,7 @@ use crate::par::{map_rows, Parallelism};
 use crate::Field;
 
 /// Quadrature weight for grid point `(i, j)`: trapezoidal rule. Shared
-/// with the incremental tile cache so both integrate the identical
-/// quadrature.
+/// with the raster kernel so both integrate the identical quadrature.
 #[inline]
 pub(crate) fn weight(grid: &GridSpec, i: usize, j: usize) -> f64 {
     let wx = if i == 0 || i == grid.nx() - 1 {

@@ -17,9 +17,6 @@
 //!   samples by Delaunay triangulation ([`ReconstructedSurface`]);
 //! * the paper's quality metric `δ` — the volume difference between two
 //!   surfaces (Eqn. 2) — in [`delta`];
-//! * the incremental δ engine in [`incremental`] ([`DeltaCache`]): a
-//!   tile cache of partial δ integrals that re-integrates only the
-//!   tiles whose reconstruction triangles changed;
 //! * the row-sharded parallel evaluation engine in [`par`]
 //!   ([`Parallelism`]), whose grid sweeps are bit-identical to serial
 //!   at any thread count and run on a persistent worker pool;
@@ -58,7 +55,6 @@ pub mod delta;
 mod dynamics;
 mod error;
 mod grid;
-pub mod incremental;
 mod noise;
 mod ops;
 pub mod par;
@@ -72,10 +68,9 @@ pub use analytic::{
 pub use dynamics::{DiurnalField, DriftingField, KeyframeField};
 pub use error::FieldError;
 pub use grid::GridField;
-pub use incremental::{DeltaCache, DeltaTotals};
 pub use noise::NoiseField;
 pub use ops::{ClampedField, ScaledField, SumField, TranslatedField};
 pub use par::Parallelism;
-pub use raster::RasterPlan;
+pub use raster::{DeltaTotals, RasterPlan};
 pub use reconstruct::ReconstructedSurface;
 pub use traits::{Field, Frozen, Static, TimeVaryingField};

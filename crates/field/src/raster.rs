@@ -15,8 +15,7 @@
 //! Two fill modes exist:
 //!
 //! * **value mode** ([`RasterPlan::fill_row_values`]) writes plane
-//!   heights directly and is used by the δ quadrature and the tile
-//!   cache. Span cells are claimed without re-verifying containment:
+//!   heights directly and is used by the δ quadrature. Span cells are claimed without re-verifying containment:
 //!   the reconstruction is continuous across interior edges, so a cell
 //!   attributed to either neighbor of an fp-ambiguous edge crossing
 //!   gets the same height up to one rounding step.
@@ -31,7 +30,6 @@ use cps_geometry::scanline::{span_cells, triangle_row_span};
 use cps_geometry::{predicates::orient2d, GridSpec, Point2, Triangle, Triangulation, VertexId};
 
 use crate::delta::weight;
-use crate::incremental::DeltaTotals;
 use crate::par::{map_rows, Parallelism};
 use crate::reconstruct::ReconstructedSurface;
 use crate::traits::Field;
@@ -44,6 +42,15 @@ pub const NO_OWNER: u32 = u32::MAX;
 /// the walk's acceptance slack means the walk cannot stop in any other
 /// triangle for that point.
 const STRICT_INSIDE: f64 = 1e-12;
+
+/// The two totals the δ quadrature produces.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeltaTotals {
+    /// The paper's δ: `∬ |f − DT| dA` (Eqn. 2).
+    pub delta: f64,
+    /// Root-mean-square pointwise difference (secondary metric).
+    pub rms: f64,
+}
 
 /// One planed triangle of the reconstruction surface.
 #[derive(Debug, Clone, Copy)]
@@ -140,25 +147,25 @@ impl RasterPlan {
         (s <= e).then_some((s, e))
     }
 
-    /// Value mode: overwrites `out[i - i0]` with the plane height for
-    /// every cell `i ∈ [i0, i1]` of row `j` claimed by a span, leaving
-    /// unclaimed slots untouched (callers pre-fill with NaN). Returns
-    /// the number of cells written (with multiplicity, which only
-    /// differs on fp-exact edge crossings).
-    pub fn fill_row_values(&self, j: usize, i0: usize, i1: usize, out: &mut [f64]) -> usize {
-        debug_assert_eq!(out.len(), i1 - i0 + 1);
+    /// Value mode: overwrites `out[i]` with the plane height for every
+    /// cell `i` of row `j` claimed by a span, leaving unclaimed slots
+    /// untouched (callers pre-fill with NaN). Returns the number of
+    /// cells written (with multiplicity, which only differs on fp-exact
+    /// edge crossings).
+    pub fn fill_row_values(&self, j: usize, out: &mut [f64]) -> usize {
+        debug_assert_eq!(out.len(), self.grid.nx());
         let y = self.grid.point(0, j).y;
         let dx = self.grid.dx();
         let mut claimed = 0;
         for &t in &self.rows[j] {
-            let Some((s, e)) = self.row_cells(t, j, i0, i1) else {
+            let Some((s, e)) = self.row_cells(t, j, 0, self.grid.nx() - 1) else {
                 continue;
             };
             let tri = &self.tris[t as usize];
             let x0 = self.grid.point(s, j).x;
             let mut z = tri.za + tri.gx * (x0 - tri.geom.a.x) + tri.gy * (y - tri.geom.a.y);
             let step = tri.gx * dx;
-            for slot in &mut out[s - i0..=e - i0] {
+            for slot in &mut out[s..=e] {
                 *slot = z;
                 z += step;
             }
@@ -238,16 +245,12 @@ pub fn delta_rms_raster<F: Field + Sync>(
     let nx = grid.nx();
     let rows = map_rows(grid.ny(), par, |j| {
         let mut heights = vec![f64::NAN; nx];
-        plan.fill_row_values(j, 0, nx - 1, &mut heights);
+        plan.fill_row_values(j, &mut heights);
         let mut row_abs = 0.0;
         let mut row_sq = 0.0;
         for (i, &z) in heights.iter().enumerate() {
             let p = grid.point(i, j);
-            let approx = if z.is_nan() {
-                surface.value_extrapolated(p).0
-            } else {
-                z
-            };
+            let approx = if z.is_nan() { surface.value(p) } else { z };
             let d = reference.value(p) - approx;
             row_abs += weight(grid, i, j) * d.abs();
             row_sq += d * d;

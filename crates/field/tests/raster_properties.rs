@@ -2,14 +2,13 @@
 //! triangulations — slivers and mostly-exterior grids included — the
 //! scanline kernel must (i) agree with the generic field-vs-field
 //! quadrature within 1e-9 and (ii) stay **bit-identical** to itself
-//! across thread counts, directly and through the incremental tile
-//! cache. An exact oracle then checks the kernel against the true
+//! across thread counts. An exact oracle then checks the kernel against the true
 //! integral rather than against a second grid quadrature.
 
 use cps_field::delta::{rms_difference_with, volume_difference_with};
 use cps_field::raster::delta_rms_raster;
 use cps_field::{
-    DeltaCache, DeltaTotals, GaussianBlob, GaussianMixtureField, ParaboloidField, Parallelism,
+    DeltaTotals, GaussianBlob, GaussianMixtureField, ParaboloidField, Parallelism,
     ReconstructedSurface,
 };
 use cps_geometry::{GridSpec, Point2, Rect};
@@ -133,34 +132,6 @@ proptest! {
         prop_assert!(close(raster.delta, expected.delta), "delta: raster {} generic {}", raster.delta, expected.delta);
         prop_assert!(close(raster.rms, expected.rms), "rms: raster {} generic {}", raster.rms, expected.rms);
     }
-
-    /// The tile cache: a cold refresh matches the fused full-grid
-    /// raster sweep within 1e-9 and is bit-identical across thread
-    /// counts; cache on/off never drifts past 1e-9 from the generic
-    /// quadrature.
-    #[test]
-    fn cached_raster_refresh_tracks_the_fused_sweep(
-        f in blobs_strategy(),
-        points in prop::collection::vec((0.5..9.5f64, 0.5..9.5f64), 6..16),
-    ) {
-        let Some(surface) = surface_from(&f, &points) else { return Ok(()) };
-        let grid = GridSpec::new(region(), 41, 37).unwrap();
-        let serial = Parallelism::serial();
-        let fused = delta_rms_raster(&f, &surface, &grid, serial);
-        let mut cache = DeltaCache::new(&f, &grid, serial);
-        let cached = cache.refresh(&surface, serial);
-        prop_assert!(close(cached.delta, fused.delta), "delta: cached {} fused {}", cached.delta, fused.delta);
-        prop_assert!(close(cached.rms, fused.rms), "rms: cached {} fused {}", cached.rms, fused.rms);
-        let expected = generic(&f, &surface, &grid);
-        prop_assert!(close(cached.delta, expected.delta), "delta: cached {} generic {}", cached.delta, expected.delta);
-        for threads in [2usize, 8] {
-            let par = Parallelism::fixed(threads);
-            let mut c = DeltaCache::new(&f, &grid, par);
-            let t = c.refresh(&surface, par);
-            prop_assert_eq!(t.delta.to_bits(), cached.delta.to_bits(), "cached raster delta at {} threads", threads);
-            prop_assert_eq!(t.rms.to_bits(), cached.rms.to_bits(), "cached raster rms at {} threads", threads);
-        }
-    }
 }
 
 // ---- exact oracle ------------------------------------------------------
@@ -230,23 +201,13 @@ fn raster_converges_to_the_exact_paraboloid_delta_at_second_order() {
     assert!(at_81 <= 2e-3, "relative error at 81² is {at_81:e}");
 }
 
-/// On the same oracle the kernel is bit-identical across thread counts
-/// and the tile cache reproduces it to regrouping error.
+/// On the same oracle the kernel is bit-identical across thread counts.
 #[test]
-fn raster_threads_and_tile_cache_agree_on_the_exact_oracle() {
+fn raster_is_bit_identical_across_threads_on_the_exact_oracle() {
     let (f, surface) = paraboloid_surface();
     let grid = GridSpec::new(region(), 81, 81).unwrap();
     let serial = delta_rms_raster(&f, &surface, &grid, Parallelism::serial());
     let two = delta_rms_raster(&f, &surface, &grid, Parallelism::fixed(2));
     assert_eq!(serial.delta.to_bits(), two.delta.to_bits());
     assert_eq!(serial.rms.to_bits(), two.rms.to_bits());
-    let cached =
-        DeltaCache::new(&f, &grid, Parallelism::serial()).refresh(&surface, Parallelism::serial());
-    let rel = (cached.delta - serial.delta).abs() / serial.delta;
-    assert!(
-        rel <= 1e-12,
-        "cached {} vs uncached {}: {rel:e}",
-        cached.delta,
-        serial.delta
-    );
 }

@@ -18,10 +18,7 @@
 //! index)` alone — so restoring the slot cursor restores the entire
 //! future of the fault schedule. Floats round-trip exactly: values are
 //! serialized with Rust's shortest-representation formatting, which
-//! reparses to the identical bit pattern. The δ tile cache is *not*
-//! checkpointed; it re-primes lazily after a restore and the
-//! probe-guarded priming reproduces the uninterrupted values (cached
-//! and uncached resumes are both bit-identical — property-tested).
+//! reparses to the identical bit pattern.
 //!
 //! # On-disk format
 //!
@@ -58,8 +55,9 @@ use {
 /// dropped the per-run quadrature kernel: every δ now runs on the
 /// raster kernel, so version 1 snapshots, which may record the walk,
 /// fail with [`CoreError::SnapshotVersion`] instead of resuming on
-/// different arithmetic.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// different arithmetic. Version 3 dropped the on/off flag of the
+/// removed δ tile cache.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Magic token opening every snapshot file.
 const MAGIC: &str = "CPSSNAP";
@@ -142,9 +140,6 @@ pub struct SimSnapshot {
     pub region: Rect,
     /// The gossiped curvature normalization reference.
     pub curvature_scale: f64,
-    /// Whether δ measurements of this run used the incremental tile
-    /// cache (the cache itself re-primes lazily after restore).
-    pub eval_cached: bool,
     /// Stage names of the pipeline that produced this snapshot, in
     /// execution order. Restore rejects anything but the standard
     /// sequence, because resuming a run under a different stage order
@@ -512,7 +507,6 @@ mod tests {
             cma: CmaConfig::default(),
             region: Rect::new(Point2::new(20.0, 20.0), Point2::new(120.0, 120.0)).unwrap(),
             curvature_scale: 0.012_345_678_901_234_5,
-            eval_cached: true,
             pipeline: crate::stage::STANDARD_STAGES
                 .iter()
                 .map(|s| s.to_string())
@@ -677,9 +671,9 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_typed() {
-        // Older (version 1 may record the removed walk kernel) and
-        // newer formats alike.
-        for version in [1, SNAPSHOT_VERSION + 1] {
+        // Older (version 1 may record the removed walk kernel, version
+        // 2 the removed tile cache) and newer formats alike.
+        for version in [1, 2, SNAPSHOT_VERSION + 1] {
             assert!(matches!(
                 SimSnapshot::from_bytes(&snapshot_bytes_with_version(version)),
                 Err(CoreError::SnapshotVersion { found, supported: SNAPSHOT_VERSION })
@@ -703,7 +697,7 @@ mod tests {
             store.latest_valid(),
             Err(CoreError::SnapshotVersion {
                 found: 1,
-                supported: 2
+                supported: SNAPSHOT_VERSION
             })
         ));
 

@@ -326,8 +326,8 @@ impl<F: TimeVaryingField> Simulation<F> {
 
     /// Captures the complete engine state as a [`SimSnapshot`]:
     /// restoring it (with the same field) and stepping on is
-    /// bit-identical to never having stopped, at any thread count,
-    /// cache on or off. The field itself is not captured — attach how
+    /// bit-identical to never having stopped, at any thread count.
+    /// The field itself is not captured — attach how
     /// to rebuild it via [`SimSnapshot::label`] — and neither are
     /// app-level recorders; see [`SimSnapshot::attach_timeline`] and
     /// [`SimSnapshot::attach_survivability`].
@@ -345,7 +345,6 @@ impl<F: TimeVaryingField> Simulation<F> {
             cma: self.cma,
             region: self.region,
             curvature_scale: self.curvature_scale,
-            eval_cached: self.eval.cached,
             pipeline: crate::stage::STANDARD_STAGES
                 .iter()
                 .map(|s| s.to_string())
@@ -671,24 +670,21 @@ impl CmaBuilder {
     /// The thread policy defaults to [`Parallelism::auto`] and may be
     /// overridden with [`parallelism`](CmaBuilder::parallelism) or
     /// [`evaluator`](CmaBuilder::evaluator) — results do not depend on
-    /// it. Whether δ evaluation uses the tile cache is restored from
-    /// the snapshot (overridable). Deployment-time settings
+    /// it. Deployment-time settings
     /// ([`config`](CmaBuilder::config),
     /// [`start_time`](CmaBuilder::start_time),
     /// [`faults`](CmaBuilder::faults)) are ignored on resume: the
     /// snapshot is authoritative.
     pub fn resume_from(snapshot: SimSnapshot) -> Self {
         let mut builder = CmaBuilder::new(snapshot.region, Vec::new());
-        builder.eval.cached = snapshot.eval_cached;
         builder.resume = Some(Box::new(snapshot));
         builder
     }
 
     /// Sets the evaluation options shared with
     /// [`cps_core::DeltaEvaluator`] and the FRA builder: the thread
-    /// policy (also applied to the per-node sensing phase) and whether
-    /// δ measurements of this run should use the incremental tile
-    /// cache. Consumers read them back via
+    /// policy, also applied to the per-node sensing phase. Consumers
+    /// read them back via
     /// [`Simulation::eval_options`] — `DeltaTimeline` does so when
     /// built with `DeltaTimeline::for_simulation`.
     pub fn evaluator(mut self, opts: EvalOptions) -> Self {
@@ -801,9 +797,7 @@ mod tests {
     #[test]
     fn builder_carries_eval_options() {
         let f = Static::new(GaussianBlob::isotropic(Point2::new(50.0, 50.0), 50.0, 8.0));
-        let opts = EvalOptions::new()
-            .parallelism(Parallelism::fixed(2))
-            .cached(true);
+        let opts = EvalOptions::new().parallelism(Parallelism::fixed(2));
         let sim = CmaBuilder::new(region(), grid16())
             .evaluator(opts)
             .run(f)

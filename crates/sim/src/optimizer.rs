@@ -144,7 +144,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the shared evaluation options (thread policy, tile cache)
+    /// Sets the shared evaluation options (the thread policy)
     /// — the counterpart of both
     /// [`CmaBuilder::evaluator`] and [`FraBuilder::evaluator`].
     pub fn evaluator(mut self, opts: EvalOptions) -> Self {

@@ -23,8 +23,7 @@
 //! # Determinism
 //!
 //! The pipeline preserves the engine's headline invariant: results are
-//! bit-identical at any thread count, cache on or off, with or
-//! without a fault plan. The argument is
+//! bit-identical at any thread count, with or without a fault plan. The argument is
 //! the stage ordering itself — every random draw happens in a serial
 //! stage (1–3) in a fixed order before any parallel work, and the only
 //! parallel stage (5) fans out pure per-node computations whose

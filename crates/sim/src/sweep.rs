@@ -100,8 +100,6 @@ pub struct SweepSpec {
     /// Start-lattice spacing as a fraction of `Rc` (the canonical
     /// mobile scenarios use 0.93 so every lattice edge starts slack).
     pub spacing_factor: f64,
-    /// Whether δ evaluation uses the incremental tile cache.
-    pub cached: bool,
     /// Simulation clock at deployment (minutes).
     pub start_time: f64,
 }
@@ -119,7 +117,6 @@ impl Default for SweepSpec {
             sample_every: 5,
             resolution: 61,
             spacing_factor: 0.93,
-            cached: false,
             start_time: 600.0,
         }
     }
@@ -240,23 +237,44 @@ impl SweepSpec {
     /// spec fails [`SweepSpec::validate`].
     pub fn from_json(text: &str) -> Result<Self, CoreError> {
         let tree = envelope::parse(text)?;
-        // Specs written while the walk kernel existed may still name
-        // one: "raster" is what every job runs, anything else is an
-        // error rather than a silent switch of arithmetic.
-        match tree.get("kernel").map(Value::as_str) {
-            None | Some(Some("raster")) => {}
-            Some(Some(_)) => {
-                return Err(CoreError::InvalidParameter {
-                    name: "kernel",
-                    requirement: "the walk kernel was removed; every sweep runs the raster \
-                                  kernel (drop the key or set it to \"raster\")",
-                })
-            }
-            Some(None) => return Err(corrupt("field `kernel`: expected string".to_string())),
-        }
+        retired_key(
+            &tree,
+            "kernel",
+            "raster".to_string(),
+            "the walk kernel was removed; every sweep runs the raster kernel \
+             (drop the key or set it to \"raster\")",
+        )?;
+        retired_key(
+            &tree,
+            "cached",
+            false,
+            "the δ tile cache was removed; every sweep runs the uncached quadrature \
+             (drop the key or set it to false)",
+        )?;
         let spec = SweepSpec::deserialize(&tree).map_err(|e| corrupt(e.to_string()))?;
         spec.validate()?;
         Ok(spec)
+    }
+}
+
+/// Checks key `name` of a removed spec option. Specs written while the
+/// option existed may still name it: `kept`, the value every job runs
+/// today, is accepted; any other value is an error rather than a silent
+/// switch of arithmetic.
+fn retired_key<T: Deserialize + PartialEq>(
+    tree: &Value,
+    name: &'static str,
+    kept: T,
+    requirement: &'static str,
+) -> Result<(), CoreError> {
+    let Some(found) = tree.get(name) else {
+        return Ok(());
+    };
+    let found = T::deserialize(found).map_err(|e| corrupt(format!("field `{name}`: {e}")))?;
+    if found == kept {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidParameter { name, requirement })
     }
 }
 
@@ -625,9 +643,7 @@ fn run_job<F: TimeVaryingField + Sync>(
     };
     let start =
         scenario::grid_start_spaced(spec.region, job.k, spec.spacing_factor * job.comm_radius)?;
-    let eval = EvalOptions::new()
-        .parallelism(Parallelism::serial())
-        .cached(spec.cached);
+    let eval = EvalOptions::new().parallelism(Parallelism::serial());
     // `.config` before `.evaluator`: the evaluator call also installs
     // its (serial) parallelism into the sim config.
     let mut builder = CmaBuilder::new(spec.region, start)
@@ -882,6 +898,23 @@ mod tests {
         // A kernel that is not a string is malformed, not a choice.
         assert!(matches!(
             SweepSpec::from_json(r#"{"k": [4], "kernel": 1}"#),
+            Err(CoreError::SnapshotCorrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn specs_turning_the_tile_cache_on_are_rejected() {
+        // Off is what every job runs: accepted, and the same spec.
+        let off = SweepSpec::from_json(r#"{"k": [4], "cached": false}"#).unwrap();
+        assert_eq!(off, SweepSpec::from_json(r#"{"k": [4]}"#).unwrap());
+        match SweepSpec::from_json(r#"{"k": [4], "cached": true}"#) {
+            Err(e @ CoreError::InvalidParameter { name: "cached", .. }) => {
+                assert!(e.to_string().contains("tile cache was removed"), "{e}");
+            }
+            other => panic!("cached: true must be rejected, got {other:?}"),
+        }
+        assert!(matches!(
+            SweepSpec::from_json(r#"{"k": [4], "cached": "no"}"#),
             Err(CoreError::SnapshotCorrupt { .. })
         ));
     }

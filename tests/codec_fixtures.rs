@@ -14,7 +14,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use cps::core::ostd::CmaConfig;
-use cps::core::{DeploymentEvaluation, SurvivabilityState};
+use cps::core::{CoreError, DeploymentEvaluation, SurvivabilityState};
 use cps::geometry::{Point2, Rect};
 use cps::sim::{
     Aggregate, CellAggregate, DeathCause, FaultEvent, FaultPlan, FaultState, JobOutcome,
@@ -36,7 +36,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A version-2 snapshot exercising every optional part: a fault plan
+/// A version-3 snapshot exercising every optional part: a fault plan
 /// with a battery, kills, culls and a seed beyond 2^53, stuck sensors,
 /// all three event kinds and death causes, a timeline and a
 /// survivability state.
@@ -94,7 +94,6 @@ fn snapshot() -> SimSnapshot {
         },
         region: Rect::new(Point2::new(20.0, -5.5), Point2::new(120.0, 120.0)).unwrap(),
         curvature_scale: 0.012_345_678_901_234_5,
-        eval_cached: true,
         pipeline: cps::sim::stage::STANDARD_STAGES
             .iter()
             .map(|s| s.to_string())
@@ -195,16 +194,21 @@ fn spec() -> SweepSpec {
         sample_every: 2,
         resolution: 21,
         spacing_factor: 0.9,
-        cached: true,
         start_time: 590.25,
     }
 }
 
 /// The canonical digest of [`spec`], as the format pins it.
-const SPEC_DIGEST: u64 = 0x8cb7_032b_873e_9025;
+const SPEC_DIGEST: u64 = 0x5bc0_38b4_3dea_4a65;
 
 /// The digest of `SweepSpec::default()`.
-const DEFAULT_SPEC_DIGEST: u64 = 0xb35b_4be6_454b_971b;
+const DEFAULT_SPEC_DIGEST: u64 = 0x86cf_a3cb_361f_9e52;
+
+/// The spec digest the manifest and results fixtures record: that of
+/// [`spec`] with the removed `"cached": true` knob, from before the δ
+/// tile cache was deleted. Job digests only hash the spec digest they
+/// are given, so those fixtures stay valid as they are.
+const RECORDED_SPEC_DIGEST: u64 = 0x8cb7_032b_873e_9025;
 
 fn outcome(final_delta: f64, best_delta: Option<f64>) -> JobOutcome {
     JobOutcome {
@@ -224,9 +228,15 @@ fn manifest_jobs() -> BTreeMap<u64, (u64, JobOutcome)> {
     BTreeMap::from([
         (
             0,
-            (jobs[0].digest(SPEC_DIGEST), outcome(4321.125, Some(4000.5))),
+            (
+                jobs[0].digest(RECORDED_SPEC_DIGEST),
+                outcome(4321.125, Some(4000.5)),
+            ),
         ),
-        (1, (jobs[1].digest(SPEC_DIGEST), outcome(1e-7, None))),
+        (
+            1,
+            (jobs[1].digest(RECORDED_SPEC_DIGEST), outcome(1e-7, None)),
+        ),
     ])
 }
 
@@ -245,7 +255,7 @@ fn results() -> SweepResults {
         max: mean + 0.5,
     };
     SweepResults {
-        spec_digest: format!("{SPEC_DIGEST:016x}"),
+        spec_digest: format!("{RECORDED_SPEC_DIGEST:016x}"),
         jobs: vec![job(0, 7, ""), job(1, u64::MAX, "seed=3,kill=0@2")],
         outcomes: vec![outcome(4321.125, Some(4000.5)), outcome(1e-7, None)],
         cells: vec![
@@ -277,8 +287,8 @@ fn results() -> SweepResults {
 
 #[test]
 fn snapshot_fixture_decodes_and_reencodes_byte_for_byte() {
-    let bytes = fixture("snapshot_v2.cpsnap");
-    assert!(bytes.starts_with(b"CPSSNAP 2 "));
+    let bytes = fixture("snapshot_v3.cpsnap");
+    assert!(bytes.starts_with(b"CPSSNAP 3 "));
     let decoded = SimSnapshot::from_bytes(&bytes).unwrap();
     assert_eq!(decoded, snapshot());
     assert_eq!(
@@ -289,6 +299,21 @@ fn snapshot_fixture_decodes_and_reencodes_byte_for_byte() {
     assert_eq!(snapshot().to_bytes().unwrap(), bytes);
 }
 
+/// The version-2 fixture records the flag of the removed tile cache; this
+/// build refuses it by version instead of resuming it.
+#[test]
+fn snapshot_v2_fixture_is_an_older_format() {
+    let bytes = fixture("snapshot_v2.cpsnap");
+    assert!(bytes.starts_with(b"CPSSNAP 2 "));
+    assert!(matches!(
+        SimSnapshot::from_bytes(&bytes),
+        Err(CoreError::SnapshotVersion {
+            found: 2,
+            supported: 3
+        })
+    ));
+}
+
 #[test]
 fn manifest_fixture_decodes_and_reencodes_byte_for_byte() {
     let bytes = fixture("sweep_v1.manifest");
@@ -296,13 +321,13 @@ fn manifest_fixture_decodes_and_reencodes_byte_for_byte() {
     let dir = temp_dir("manifest");
     let copy = dir.join("copy.manifest");
     fs::write(&copy, &bytes).unwrap();
-    let loaded = SweepManifest::load(&copy, SPEC_DIGEST).unwrap();
+    let loaded = SweepManifest::load(&copy, RECORDED_SPEC_DIGEST).unwrap();
     assert_eq!(loaded.completed(), &manifest_jobs());
 
     // Re-encode through the write path: a fresh manifest recording the
     // same jobs persists the same bytes.
     let rewritten = dir.join("rewritten.manifest");
-    let mut manifest = SweepManifest::create(&rewritten, SPEC_DIGEST).unwrap();
+    let mut manifest = SweepManifest::create(&rewritten, RECORDED_SPEC_DIGEST).unwrap();
     for (&index, (digest, outcome)) in loaded.completed() {
         manifest.record(index, *digest, outcome.clone()).unwrap();
     }
@@ -312,13 +337,30 @@ fn manifest_fixture_decodes_and_reencodes_byte_for_byte() {
 
 #[test]
 fn spec_fixture_decodes_and_reencodes_byte_for_byte() {
-    let text = String::from_utf8(fixture("sweep_spec.json")).unwrap();
+    let text = String::from_utf8(fixture("sweep_spec_uncached.json")).unwrap();
     let decoded = SweepSpec::from_json(&text).unwrap();
     assert_eq!(decoded, spec());
     assert_eq!(decoded.to_json().unwrap(), text);
     assert_eq!(spec().to_json().unwrap(), text);
     assert_eq!(decoded.digest().unwrap(), SPEC_DIGEST);
     assert_eq!(SweepSpec::default().digest().unwrap(), DEFAULT_SPEC_DIGEST);
+}
+
+/// The original spec fixture turns the removed tile cache on: the
+/// reader refuses it with a reason instead of ignoring the key.
+#[test]
+fn spec_fixture_with_the_cache_on_is_rejected() {
+    let text = String::from_utf8(fixture("sweep_spec.json")).unwrap();
+    assert!(text.contains(r#""cached":true"#));
+    match SweepSpec::from_json(&text) {
+        Err(e @ CoreError::InvalidParameter { name: "cached", .. }) => {
+            assert!(e.to_string().contains("tile cache was removed"), "{e}");
+        }
+        other => panic!("a spec with the cache on must be rejected, got {other:?}"),
+    }
+    // The same spec with the cache off names what every sweep runs.
+    let off = text.replace(r#""cached":true"#, r#""cached":false"#);
+    assert_eq!(SweepSpec::from_json(&off).unwrap(), spec());
 }
 
 #[test]

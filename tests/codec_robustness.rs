@@ -12,7 +12,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use cps::core::CoreError;
-use cps::sim::{FaultPlan, SimSnapshot, SweepManifest, SweepSpec};
+use cps::sim::{FaultPlan, SimSnapshot, SweepManifest, SweepSpec, SNAPSHOT_VERSION};
 use proptest::prelude::*;
 
 /// Digest of the spec the manifest fixture belongs to.
@@ -60,11 +60,11 @@ fn seal(magic: &str, version: u32, payload: &[u8]) -> Vec<u8> {
 }
 
 fn reseal_snapshot(text: &str) -> Vec<u8> {
-    seal("CPSSNAP", 2, text.as_bytes())
+    seal("CPSSNAP", SNAPSHOT_VERSION, text.as_bytes())
 }
 
 fn snapshot_text() -> String {
-    String::from_utf8(payload(&fixture("snapshot_v2.cpsnap")).to_vec()).unwrap()
+    String::from_utf8(payload(&fixture("snapshot_v3.cpsnap")).to_vec()).unwrap()
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -139,7 +139,7 @@ fn resealed_snapshot_with_inverted_region_is_corrupt() {
 fn every_resealed_snapshot_payload_mutation_is_typed() {
     let text = snapshot_text();
     for evil in mutations(text.as_bytes()) {
-        match SimSnapshot::from_bytes(&seal("CPSSNAP", 2, &evil)) {
+        match SimSnapshot::from_bytes(&seal("CPSSNAP", SNAPSHOT_VERSION, &evil)) {
             // A digit change can leave a valid, different snapshot; it
             // must still encode.
             Ok(snapshot) => assert!(snapshot.to_bytes().is_ok()),
@@ -163,7 +163,7 @@ fn every_resealed_manifest_payload_mutation_is_typed() {
 
 #[test]
 fn every_spec_mutation_is_typed() {
-    let text = fixture("sweep_spec.json");
+    let text = fixture("sweep_spec_uncached.json");
     for evil in mutations(&text) {
         let Ok(evil) = String::from_utf8(evil) else {
             continue;
@@ -197,7 +197,7 @@ proptest! {
         bytes in prop::collection::vec(0u8..=255, 0..400),
         sealed in any::<bool>(),
     ) {
-        let input = if sealed { seal("CPSSNAP", 2, &bytes) } else { bytes };
+        let input = if sealed { seal("CPSSNAP", SNAPSHOT_VERSION, &bytes) } else { bytes };
         let result = SimSnapshot::from_bytes(&input);
         prop_assert!(is_corrupt(&result), "{:?}", result);
     }

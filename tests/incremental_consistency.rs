@@ -1,9 +1,8 @@
-//! Integration: the δ evaluation path against the full pipeline.
-//! Cached and uncached evaluation must agree within 1e-9 through
-//! survivor subsets, fault-injected simulations, and every thread
-//! count; the raster kernel behind both must match the generic
-//! per-cell quadrature within 1e-9; and FRA placements must not depend
-//! on the thread count at all.
+//! Integration: the δ evaluation path against the full pipeline. The
+//! raster kernel must match the generic per-cell quadrature within
+//! 1e-9 through survivor subsets and moving swarms; fault-injected
+//! timelines, FRA placements and δ values must not depend on the
+//! thread count at all.
 
 use cps::core::osd::FraBuilder;
 use cps::core::{DeltaEvaluator, EvalOptions};
@@ -15,7 +14,6 @@ use cps::field::{
 use cps::geometry::{GridSpec, Point2, Rect};
 use cps::greenorbs::{ForestConfig, LatentLightField};
 use cps::sim::{scenario, CmaBuilder, DeltaTimeline, FaultPlan};
-use proptest::prelude::*;
 
 const TOL: f64 = 1e-9;
 
@@ -34,56 +32,11 @@ fn bumpy_field() -> GaussianMixtureField {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Survivor subsets: for random alive-masks over a fixed fleet,
-    /// the cached evaluator (whose tile cache carries state from one
-    /// mask to the next) agrees with fresh full quadratures, at one,
-    /// two, and eight threads.
-    #[test]
-    fn cached_survivor_evaluation_matches_uncached(
-        masks in prop::collection::vec(
-            prop::collection::vec(any::<bool>(), 36),
-            2..5,
-        ),
-        threads in 1..9usize,
-    ) {
-        let region = Rect::square(100.0).unwrap();
-        let grid = GridSpec::new(region, 41, 41).unwrap();
-        let field = bumpy_field();
-        let fleet = scenario::grid_start(region, 36);
-        let par = Parallelism::fixed(threads);
-        let mut cached = DeltaEvaluator::new(&field, &grid, 25.0)
-            .options(EvalOptions::new().parallelism(par).cached(true))
-            .survivors(true);
-        for mask in masks {
-            let mut uncached = DeltaEvaluator::new(&field, &grid, 25.0)
-                .parallelism(par)
-                .survivors(true)
-                .survivor_mask(&mask);
-            cached = cached.survivor_mask(&mask);
-            let a = cached.evaluate(&fleet).unwrap();
-            let b = uncached.evaluate(&fleet).unwrap();
-            prop_assert!(
-                close(a.delta, b.delta),
-                "delta diverged: cached {} vs uncached {}",
-                a.delta,
-                b.delta
-            );
-            prop_assert!(close(a.rms, b.rms));
-            prop_assert_eq!(a.connected, b.connected);
-            prop_assert_eq!(a.node_count, b.node_count);
-        }
-    }
-}
-
-/// Fault-injected simulation: two identical CMA runs — one recording
-/// its δ timeline through the tile cache, one through full recompute —
-/// must agree at every sampled slot even as nodes die and the fleet
-/// shrinks.
+/// Fault-injected simulation: the δ timeline of a CMA run is
+/// bit-identical at every thread count, at every sampled slot, even as
+/// nodes die and the fleet shrinks.
 #[test]
-fn cached_timeline_matches_uncached_under_faults() {
+fn timeline_under_faults_is_bit_identical_across_thread_counts() {
     let region = Rect::square(100.0).unwrap();
     let grid = GridSpec::new(region, 41, 41).unwrap();
     let field = Static::new(bumpy_field());
@@ -97,40 +50,26 @@ fn cached_timeline_matches_uncached_under_faults() {
         .unwrap();
     let start = scenario::grid_start_spaced(region, 49, 9.3).unwrap();
 
-    let mut deltas: Vec<Vec<f64>> = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let par = Parallelism::fixed(threads);
-        let run = |cached: bool| -> Vec<f64> {
-            let opts = EvalOptions::new().parallelism(par).cached(cached);
-            let mut sim = CmaBuilder::new(region, start.clone())
-                .evaluator(opts)
-                .faults(plan.clone())
-                .run(&field)
-                .unwrap();
-            let mut timeline = DeltaTimeline::for_simulation(&sim);
-            let mut out = vec![timeline.record(&sim, &grid).unwrap().delta];
-            for _ in 0..8 {
-                sim.step().unwrap();
-                out.push(timeline.record(&sim, &grid).unwrap().delta);
-            }
-            out
-        };
-        let cached = run(true);
-        let uncached = run(false);
-        for (slot, (c, u)) in cached.iter().zip(&uncached).enumerate() {
-            assert!(
-                close(*c, *u),
-                "threads {threads} slot {slot}: cached {c} vs uncached {u}"
-            );
+    let run = |threads: usize| -> Vec<u64> {
+        let opts = EvalOptions::new().parallelism(Parallelism::fixed(threads));
+        let mut sim = CmaBuilder::new(region, start.clone())
+            .evaluator(opts)
+            .faults(plan.clone())
+            .run(&field)
+            .unwrap();
+        let mut timeline = DeltaTimeline::for_simulation(&sim);
+        let mut out = vec![timeline.record(&sim, &grid).unwrap().delta.to_bits()];
+        for _ in 0..8 {
+            sim.step().unwrap();
+            out.push(timeline.record(&sim, &grid).unwrap().delta.to_bits());
         }
-        deltas.push(uncached);
-    }
-    // The fault schedule is deterministic, so thread count must not
-    // change what happened either.
-    for bits in &deltas[1..] {
-        for (slot, (a, b)) in deltas[0].iter().zip(bits).enumerate() {
-            assert!(close(*a, *b), "slot {slot}: {a} vs {b} across threads");
-        }
+        out
+    };
+    // The fault schedule is deterministic and every δ sweep is
+    // bit-identical across thread counts, so nothing may change.
+    let serial = run(1);
+    for threads in [2usize, 8] {
+        assert_eq!(serial, run(threads), "timeline at {threads} threads");
     }
 }
 
@@ -160,74 +99,61 @@ fn generic_quadrature<F: Field + Sync>(
     )
 }
 
-/// FRA's greedy refinement — argmax choices, relay placement,
-/// everything — picks the *same* deployment at every thread count, and
-/// the tile cache changes nothing but how its δ trajectory is summed.
+/// FRA's greedy refinement — argmax choices, relay placement, δ
+/// trajectory, everything — is the *same* at every thread count.
 #[test]
 fn fra_deployments_are_identical_across_thread_counts() {
     let (_, grid, f) = peaks_setting();
-    let run = |threads: usize, cached: bool| {
+    let run = |threads: usize| {
         FraBuilder::new(30, 10.0)
             .grid(grid)
-            .evaluator(
-                EvalOptions::new()
-                    .parallelism(Parallelism::fixed(threads))
-                    .cached(cached),
-            )
+            .parallelism(Parallelism::fixed(threads))
             .track_delta(true)
             .run(&f)
             .unwrap()
     };
-    let serial = run(1, false);
-    let serial_trajectory = serial.delta_trajectory.as_deref().unwrap();
-    for threads in [1usize, 2, 8] {
-        for cached in [false, true] {
-            let other = run(threads, cached);
-            assert_eq!(
-                serial.positions, other.positions,
-                "placement diverged at {threads} threads, cached={cached}"
-            );
-            assert_eq!(serial.refined, other.refined);
-            assert_eq!(serial.relays, other.relays);
-            let trajectory = other.delta_trajectory.as_deref().unwrap();
-            assert_eq!(serial_trajectory.len(), trajectory.len());
-            for (a, b) in serial_trajectory.iter().zip(trajectory) {
-                if cached {
-                    assert!(close(*b, *a), "cached trajectory {b} vs {a}");
-                } else {
-                    assert_eq!(a.to_bits(), b.to_bits(), "trajectory at {threads} threads");
-                }
-            }
-        }
+    let serial = run(1);
+    let bits = |t: &[f64]| t.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+    let serial_trajectory = bits(serial.delta_trajectory.as_deref().unwrap());
+    for threads in [2usize, 8] {
+        let other = run(threads);
+        assert_eq!(
+            serial.positions, other.positions,
+            "placement diverged at {threads} threads"
+        );
+        assert_eq!(serial.refined, other.refined);
+        assert_eq!(serial.relays, other.relays);
+        assert_eq!(
+            serial_trajectory,
+            bits(other.delta_trajectory.as_deref().unwrap()),
+            "trajectory at {threads} threads"
+        );
     }
 }
 
 /// DeltaEvaluator matches the generic quadrature within 1e-9 on a full
-/// deployment, at 1/2/8 threads, with the tile cache on and off.
+/// deployment, at 1/2/8 threads.
 #[test]
-fn evaluator_matches_generic_quadrature_at_any_thread_count_and_cache_setting() {
+fn evaluator_matches_generic_quadrature_at_any_thread_count() {
     let (region, g, f) = peaks_setting();
     let plan = FraBuilder::new(40, 30.0).grid(g).run(&f).unwrap();
     let (delta, rms) = generic_quadrature(&f, region, &g, &plan.positions);
     for threads in [1usize, 2, 8] {
-        for cached in [false, true] {
-            let e = DeltaEvaluator::new(&f, &g, 30.0)
-                .parallelism(Parallelism::fixed(threads))
-                .cached(cached)
-                .evaluate(&plan.positions)
-                .unwrap();
-            assert!(
-                close(e.delta, delta),
-                "delta threads={threads} cached={cached}: {} vs {delta}",
-                e.delta
-            );
-            assert!(
-                close(e.rms, rms),
-                "rms threads={threads} cached={cached}: {} vs {rms}",
-                e.rms
-            );
-            assert!(e.connected);
-        }
+        let e = DeltaEvaluator::new(&f, &g, 30.0)
+            .parallelism(Parallelism::fixed(threads))
+            .evaluate(&plan.positions)
+            .unwrap();
+        assert!(
+            close(e.delta, delta),
+            "delta threads={threads}: {} vs {delta}",
+            e.delta
+        );
+        assert!(
+            close(e.rms, rms),
+            "rms threads={threads}: {} vs {rms}",
+            e.rms
+        );
+        assert!(e.connected);
     }
 }
 

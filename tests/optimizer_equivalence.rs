@@ -6,12 +6,11 @@
 //! * hybrid with FRA refinement disabled ≡ pure CMA (grid start plus
 //!   the same movement slots).
 //!
-//! The cases sweep fleet sizes and the tile cache, since an
-//! equivalence that held only on one arithmetic path would be no
-//! equivalence at all.
+//! The cases sweep fleet sizes and thread counts, since an equivalence
+//! that held only on one execution path would be no equivalence at all.
 
 use cps::core::EvalOptions;
-use cps::field::{PeaksField, Static};
+use cps::field::{Parallelism, PeaksField, Static};
 use cps::geometry::{Point2, Rect};
 use cps::sim::{
     CmaOptimizer, EngineBuilder, FraOptimizer, HybridOptimizer, Optimizer, OptimizerKind,
@@ -25,20 +24,20 @@ fn field() -> Static<PeaksField> {
     Static::new(PeaksField::new(region(), 8.0))
 }
 
-/// A small-but-varied case grid: fleet size × cache.
-fn cases() -> Vec<(usize, bool)> {
+/// A small-but-varied case grid: fleet size × thread count.
+fn cases() -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for &k in &[8usize, 13, 21] {
-        for &cached in &[false, true] {
-            out.push((k, cached));
+        for &threads in &[1usize, 2] {
+            out.push((k, threads));
         }
     }
     out
 }
 
-fn builder(k: usize, cached: bool) -> EngineBuilder {
+fn builder(k: usize, threads: usize) -> EngineBuilder {
     EngineBuilder::new(region(), k)
-        .evaluator(EvalOptions::new().cached(cached))
+        .evaluator(EvalOptions::new().parallelism(Parallelism::fixed(threads)))
         .start_time(600.0)
         .grid_resolution(41)
 }
@@ -52,8 +51,8 @@ fn position_bits(positions: &[Point2]) -> Vec<(u64, u64)> {
 
 #[test]
 fn hybrid_with_zero_polish_is_bit_identical_to_pure_fra() {
-    for (k, cached) in cases() {
-        let base = builder(k, cached).minutes(0);
+    for (k, threads) in cases() {
+        let base = builder(k, threads).minutes(0);
         let fra = FraOptimizer::new(base.clone()).run(field()).unwrap();
         let hybrid = HybridOptimizer::new(base).run(field()).unwrap();
         assert_eq!(fra.optimizer, "fra");
@@ -62,12 +61,12 @@ fn hybrid_with_zero_polish_is_bit_identical_to_pure_fra() {
         assert_eq!(
             (fra.refined, fra.relays),
             (hybrid.refined, hybrid.relays),
-            "k={k} cached={cached}: placement provenance diverged"
+            "k={k} threads={threads}: placement provenance diverged"
         );
         assert_eq!(
             position_bits(&fra.sim.positions()),
             position_bits(&hybrid.sim.positions()),
-            "k={k} cached={cached}: positions diverged"
+            "k={k} threads={threads}: positions diverged"
         );
         assert_eq!(fra.sim.slot(), hybrid.sim.slot());
         assert_eq!(fra.sim.time().to_bits(), hybrid.sim.time().to_bits());
@@ -76,8 +75,8 @@ fn hybrid_with_zero_polish_is_bit_identical_to_pure_fra() {
 
 #[test]
 fn hybrid_without_refinement_is_bit_identical_to_pure_cma() {
-    for (k, cached) in cases() {
-        let base = builder(k, cached).minutes(3);
+    for (k, threads) in cases() {
+        let base = builder(k, threads).minutes(3);
         let cma = CmaOptimizer::new(base.clone()).run(field()).unwrap();
         let hybrid = HybridOptimizer::new(base.fra_refinement(false))
             .run(field())
@@ -90,7 +89,7 @@ fn hybrid_without_refinement_is_bit_identical_to_pure_cma() {
         assert_eq!(
             position_bits(&cma.sim.positions()),
             position_bits(&hybrid.sim.positions()),
-            "k={k} cached={cached}: positions diverged"
+            "k={k} threads={threads}: positions diverged"
         );
         assert_eq!(cma.sim.slot(), hybrid.sim.slot());
         assert_eq!(cma.sim.time().to_bits(), hybrid.sim.time().to_bits());
@@ -99,7 +98,7 @@ fn hybrid_without_refinement_is_bit_identical_to_pure_cma() {
 
 #[test]
 fn engine_builder_dispatches_the_selected_kind() {
-    let base = builder(9, false).minutes(1);
+    let base = builder(9, 1).minutes(1);
     let cma = base
         .clone()
         .optimizer(OptimizerKind::Cma)

@@ -32,7 +32,7 @@ fn fra_plan_is_feasible_and_beats_random_at_mid_budget() {
     assert_eq!(plan.positions.len(), k);
     assert_eq!(plan.refined + plan.relays, k);
 
-    let mut evaluator = DeltaEvaluator::new(&reference, &grid, 10.0);
+    let evaluator = DeltaEvaluator::new(&reference, &grid, 10.0);
     let eval = evaluator.evaluate(&plan.positions).unwrap();
     assert!(
         eval.connected,
@@ -71,7 +71,7 @@ fn more_budget_means_no_worse_reconstruction() {
         .grid(grid)
         .run(&reference)
         .unwrap();
-    let mut evaluator = DeltaEvaluator::new(&reference, &grid, 10.0);
+    let evaluator = DeltaEvaluator::new(&reference, &grid, 10.0);
     let es = evaluator.evaluate(&small.positions).unwrap();
     let el = evaluator.evaluate(&large.positions).unwrap();
     assert!(
