@@ -26,7 +26,8 @@ commands:
   generate  --out trace.json [--seed N] [--nodes 1000] [--hours 24] [--csv readings.csv]
             synthesize a GreenOrbs-style forest sensing trace
   surface   --trace trace.json [--hour 10] [--resolution 101] [--out surface.pgm]
-            extract and render the referential light surface
+            extract and render the referential light surface; --resolution
+            is the samples per axis and must be at least 2
   plan      --trace trace.json [--k 80] [--rc 10] [--hour 10] [--out plan.csv] [--threads N]
             [--metrics metrics.json]
             plan a stationary deployment with FRA and report its quality;
@@ -92,6 +93,10 @@ type CmdResult = Result<(), Box<dyn Error>>;
 /// Rc = 10 m, so every lattice edge starts slack).
 const START_SPACING: f64 = 9.3;
 
+/// The coarsest grid `surface` accepts: two samples per axis span one
+/// cell.
+const SURFACE_MIN_RESOLUTION: usize = 2;
+
 /// The fewest nodes `plan` accepts: its quality report reconstructs a
 /// surface, which needs three samples.
 const PLAN_MIN_K: usize = 3;
@@ -148,6 +153,13 @@ pub fn surface(args: &Args) -> CmdResult {
     let resolution = args.usize_or("resolution", 101)?;
     let out = args.string_or("out", "");
     args.finish()?;
+    if resolution < SURFACE_MIN_RESOLUTION {
+        return Err(format!(
+            "--resolution must be at least {SURFACE_MIN_RESOLUTION} (a grid needs one cell \
+             per axis), got {resolution}"
+        )
+        .into());
+    }
 
     let dataset = load_trace(&trace)?;
     let field = dataset.region_field(region(), Channel::Light, hour, resolution)?;

@@ -189,6 +189,63 @@ fn plan_rejects_fewer_than_three_nodes_before_any_work() {
 }
 
 #[test]
+fn surface_rejects_resolutions_below_two_before_any_work() {
+    // The trace does not exist: the --resolution check must fire before
+    // the trace is read.
+    let dir = scratch("surface_resolution");
+    let missing = dir.join("missing.json");
+    for resolution in ["0", "1"] {
+        let out = cps()
+            .args([
+                "surface",
+                "--trace",
+                missing.to_str().unwrap(),
+                "--resolution",
+                resolution,
+            ])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "--resolution {resolution} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--resolution must be at least 2"),
+            "{stderr}"
+        );
+    }
+    // The smallest accepted grid renders.
+    let trace = dir.join("trace.json");
+    let out = cps()
+        .args([
+            "generate",
+            "--out",
+            trace.to_str().unwrap(),
+            "--nodes",
+            "60",
+            "--hours",
+            "12",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = cps()
+        .args([
+            "surface",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--resolution",
+            "2",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn simulate_with_cma_rejects_k_beyond_the_start_lattice() {
     let out = cps()
         .args(["simulate", "--k", "122", "--minutes", "1"])

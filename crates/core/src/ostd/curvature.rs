@@ -84,14 +84,27 @@ pub fn fit_quadric(
     center_value: f64,
     samples: &[(Point2, f64)],
 ) -> Result<QuadricFit, CoreError> {
+    fit_quadric_iter(center, center_value, samples.iter().copied())
+}
+
+/// [`fit_quadric`] over samples from an iterator, so a caller that
+/// selects a window of its samples can fit it without copying it out.
+pub(crate) fn fit_quadric_iter(
+    center: Point2,
+    center_value: f64,
+    samples: impl Iterator<Item = (Point2, f64)>,
+) -> Result<QuadricFit, CoreError> {
     // Accumulate the 3×3 normal equations directly — the design matrix
     // has only three columns, so this is both exact and allocation-free
     // (important: this runs for every sensed position of every node at
-    // every time step).
-    let mut ata = [[0.0f64; 3]; 3];
+    // every time step). The matrix is symmetric, so only its 6 distinct
+    // entries are summed; `row[r]·row[c]` and `row[c]·row[r]` are the
+    // same product, so the mirrored entries are the sums a full 3×3
+    // accumulation would give.
+    let [mut s00, mut s01, mut s02, mut s11, mut s12, mut s22] = [0.0f64; 6];
     let mut atz = [0.0f64; 3];
     let mut used = 0usize;
-    for &(p, z) in samples {
+    for (p, z) in samples {
         let x = p.x - center.x;
         let y = p.y - center.y;
         if x == 0.0 && y == 0.0 {
@@ -99,10 +112,13 @@ pub fn fit_quadric(
         }
         let row = [x * x, x * y, y * y];
         let rel_z = z - center_value;
+        s00 += row[0] * row[0];
+        s01 += row[0] * row[1];
+        s02 += row[0] * row[2];
+        s11 += row[1] * row[1];
+        s12 += row[1] * row[2];
+        s22 += row[2] * row[2];
         for r in 0..3 {
-            for c in 0..3 {
-                ata[r][c] += row[r] * row[c];
-            }
             atz[r] += row[r] * rel_z;
         }
         used += 1;
@@ -110,6 +126,7 @@ pub fn fit_quadric(
     if used < 3 {
         return Err(CoreError::TooFewSamplesForFit { count: used });
     }
+    let ata = [[s00, s01, s02], [s01, s11, s12], [s02, s12, s22]];
     let coef = solve_3x3(&ata, &atz).map_err(|_| CoreError::DegenerateFit)?;
     Ok(QuadricFit {
         a: coef[0],

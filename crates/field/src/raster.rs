@@ -224,7 +224,9 @@ impl RasterPlan {
 /// Fused δ + RMS quadrature of `|reference − surface|` over `grid`
 /// using the raster kernel: one sweep computes both integrals, with
 /// hull-exterior (and sliver-fallback) cells answered by the surface's
-/// usual extrapolation path.
+/// usual extrapolation path. The reference is read one grid row at a
+/// time through [`Field::row_values`], so a field that shares work
+/// across a row pays its per-row terms once.
 ///
 /// Rows are whole work units and are folded in row order, so the
 /// result is bit-identical at every thread count, and within 1e-9
@@ -243,15 +245,22 @@ pub fn delta_rms_raster<F: Field + Sync>(
     );
     let plan = RasterPlan::build(surface.triangulation(), surface.samples(), grid);
     let nx = grid.nx();
+    let xs: Vec<f64> = (0..nx).map(|i| grid.point(i, 0).x).collect();
     let rows = map_rows(grid.ny(), par, |j| {
         let mut heights = vec![f64::NAN; nx];
         plan.fill_row_values(j, &mut heights);
+        let y = grid.point(0, j).y;
+        let mut truth = vec![0.0; nx];
+        reference.row_values(&xs, y, &mut truth);
         let mut row_abs = 0.0;
         let mut row_sq = 0.0;
-        for (i, &z) in heights.iter().enumerate() {
-            let p = grid.point(i, j);
-            let approx = if z.is_nan() { surface.value(p) } else { z };
-            let d = reference.value(p) - approx;
+        for (i, (&z, &f)) in heights.iter().zip(&truth).enumerate() {
+            let approx = if z.is_nan() {
+                surface.value(grid.point(i, j))
+            } else {
+                z
+            };
+            let d = f - approx;
             row_abs += weight(grid, i, j) * d.abs();
             row_sq += d * d;
         }

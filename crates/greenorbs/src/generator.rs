@@ -62,6 +62,11 @@ impl Default for ForestConfig {
     }
 }
 
+/// Below this, a Gaussian term cannot change the transmission sum: the
+/// sum starts at 0.04 > 2⁻⁵ and only grows, so its ulp is at least
+/// 2⁻⁵⁷, and adding less than half an ulp rounds back to the sum.
+const NEGLIGIBLE_TERM_LOG2: f64 = -58.0;
+
 /// A Gaussian feature of the latent model.
 #[derive(Debug, Clone, Copy)]
 struct Feature {
@@ -71,16 +76,76 @@ struct Feature {
     sigma_y: f64,
     /// Drift of the centre per hour past solar noon (sun-fleck motion).
     drift: (f64, f64),
+    /// Squared scaled distance `r²` beyond which the term
+    /// `amplitude·e^(−r²/2)`, as computed, is below 2⁻⁵⁸ (see
+    /// [`Feature::new`]).
+    cutoff: f64,
 }
 
 impl Feature {
-    fn value(&self, p: Point2, hours_past_noon: f64) -> f64 {
-        let cx = self.center.x + self.drift.0 * hours_past_noon;
-        let cy = self.center.y + self.drift.1 * hours_past_noon;
-        let dx = (p.x - cx) / self.sigma_x;
-        let dy = (p.y - cy) / self.sigma_y;
-        self.amplitude * (-0.5 * (dx * dx + dy * dy)).exp()
+    fn new(center: Point2, amplitude: f64, sigma: (f64, f64), drift: (f64, f64)) -> Self {
+        // amplitude·e^(−r²/2) < 2⁻⁵⁸ ⇔ r² > 2·(ln amplitude + 58·ln 2).
+        // The extra 1 leaves a factor e^(−1/2) of room for the rounding
+        // of this bound, of `exp` and of the product, so a skipped term
+        // is below 2⁻⁵⁸ as computed, not only in exact arithmetic.
+        let cutoff = 2.0 * (amplitude.ln() - NEGLIGIBLE_TERM_LOG2 * std::f64::consts::LN_2) + 1.0;
+        Feature {
+            center,
+            amplitude,
+            sigma_x: sigma.0,
+            sigma_y: sigma.1,
+            drift,
+            cutoff,
+        }
     }
+
+    /// The centre at `hours_past_noon`.
+    fn center_at(&self, hours_past_noon: f64) -> (f64, f64) {
+        (
+            self.center.x + self.drift.0 * hours_past_noon,
+            self.center.y + self.drift.1 * hours_past_noon,
+        )
+    }
+
+    /// Squared scaled offset of `coord` from `center` along one axis.
+    fn axis_term(coord: f64, center: f64, sigma: f64) -> f64 {
+        let d = (coord - center) / sigma;
+        d * d
+    }
+
+    /// Adds the term at squared scaled distance `r2` to the
+    /// transmission sum `t`, or leaves `t` as it is where the term is
+    /// too small to change it.
+    fn accumulate(&self, t: f64, r2: f64) -> f64 {
+        if r2 > self.cutoff {
+            return t;
+        }
+        t + self.amplitude * (-0.5 * r2).exp()
+    }
+}
+
+/// A large-scale canopy-density wave, `scale·|sin(kx·x + ky·y + phase)|`.
+#[derive(Debug, Clone, Copy)]
+struct Wave {
+    kx: f64,
+    ky: f64,
+    phase: f64,
+    /// `0.4·amplitude`.
+    scale: f64,
+}
+
+impl Wave {
+    /// The sine argument from the two axis terms `kx·x` and `ky·y`.
+    fn argument(&self, x_term: f64, y_term: f64) -> f64 {
+        x_term + y_term + self.phase
+    }
+}
+
+/// The terms of the light model that depend on the time only.
+#[derive(Debug, Clone, Copy)]
+struct TimeTerms {
+    ambient: f64,
+    hours_past_noon: f64,
 }
 
 /// The latent (noise-free) environment model.
@@ -88,10 +153,12 @@ impl Feature {
 pub(crate) struct LatentModel {
     side: f64,
     start_hour_of_day: u32,
-    gaps: Vec<Feature>,
-    flecks: Vec<Feature>,
+    /// Canopy gaps, then sun flecks.
+    features: Vec<Feature>,
+    /// How many of `features` are gaps.
+    gap_count: usize,
     /// Smooth large-scale canopy-density variation.
-    density_waves: Vec<(f64, f64, f64, f64)>, // (kx, ky, phase, amp)
+    density_waves: Vec<Wave>,
 }
 
 impl LatentModel {
@@ -112,49 +179,50 @@ impl LatentModel {
         let mut gaps = Vec::with_capacity(cfg.gap_count);
         for i in 0..cfg.gap_count {
             let host = clearings[i % clearings.len()];
-            gaps.push(Feature {
-                center: Point2::new(
-                    (host.x + rng.gen_range(-10.0..10.0)).clamp(0.0, cfg.side),
-                    (host.y + rng.gen_range(-10.0..10.0)).clamp(0.0, cfg.side),
-                ),
-                amplitude: rng.gen_range(0.1..0.3),
-                sigma_x: rng.gen_range(5.0..9.0),
-                sigma_y: rng.gen_range(5.0..9.0),
-                drift: (0.0, 0.0),
-            });
+            let center = Point2::new(
+                (host.x + rng.gen_range(-10.0..10.0)).clamp(0.0, cfg.side),
+                (host.y + rng.gen_range(-10.0..10.0)).clamp(0.0, cfg.side),
+            );
+            let amplitude = rng.gen_range(0.1..0.3);
+            let sigma = (rng.gen_range(5.0..9.0), rng.gen_range(5.0..9.0));
+            gaps.push(Feature::new(center, amplitude, sigma, (0.0, 0.0)));
         }
         // Sun flecks live *inside* canopy gaps (light only reaches the
         // floor where the crown is open), so the fine detail of the
         // field is spatially clustered — the property that makes
         // curvature-weighted node densities pay off.
-        let mut flecks = Vec::with_capacity(cfg.fleck_count);
+        let gap_count = gaps.len();
+        let mut features = gaps;
         for i in 0..cfg.fleck_count {
-            let host = &gaps[i % gaps.len().max(1)];
+            let host = features[i % gap_count.max(1)];
             let cx = host.center.x + rng.gen_range(-1.0..1.0) * host.sigma_x;
             let cy = host.center.y + rng.gen_range(-1.0..1.0) * host.sigma_y;
-            flecks.push(Feature {
-                center: Point2::new(cx.clamp(0.0, cfg.side), cy.clamp(0.0, cfg.side)),
-                amplitude: rng.gen_range(0.4..0.9),
-                sigma_x: rng.gen_range(4.5..7.0),
-                sigma_y: rng.gen_range(4.5..7.0),
-                // Flecks slide west-ish as the sun moves east→west.
-                drift: (rng.gen_range(-4.0..-1.5), rng.gen_range(-1.0..1.0)),
-            });
+            let center = Point2::new(cx.clamp(0.0, cfg.side), cy.clamp(0.0, cfg.side));
+            let amplitude = rng.gen_range(0.4..0.9);
+            let sigma = (rng.gen_range(4.5..7.0), rng.gen_range(4.5..7.0));
+            // Flecks slide west-ish as the sun moves east→west.
+            let drift = (rng.gen_range(-4.0..-1.5), rng.gen_range(-1.0..1.0));
+            features.push(Feature::new(center, amplitude, sigma, drift));
         }
-        let mut density_waves = Vec::new();
-        for _ in 0..3 {
-            density_waves.push((
-                rng.gen_range(0.01..0.05),
-                rng.gen_range(0.01..0.05),
-                rng.gen_range(0.0..std::f64::consts::TAU),
-                rng.gen_range(0.02..0.06),
-            ));
-        }
+        let density_waves = (0..3)
+            .map(|_| {
+                let kx = rng.gen_range(0.01..0.05);
+                let ky = rng.gen_range(0.01..0.05);
+                let phase = rng.gen_range(0.0..std::f64::consts::TAU);
+                let amplitude: f64 = rng.gen_range(0.02..0.06);
+                Wave {
+                    kx,
+                    ky,
+                    phase,
+                    scale: 0.4 * amplitude,
+                }
+            })
+            .collect();
         LatentModel {
             side: cfg.side,
             start_hour_of_day: cfg.start_hour_of_day,
-            gaps,
-            flecks,
+            features,
+            gap_count,
             density_waves,
         }
     }
@@ -176,37 +244,127 @@ impl LatentModel {
         (60.0 * 1.3 * (std::f64::consts::PI * (h - 6.0) / 12.0).sin().max(0.0)).min(60.0)
     }
 
-    /// Canopy transmission fraction at `p` (0..1-ish).
-    fn transmission(&self, p: Point2, hours_past_noon: f64) -> f64 {
+    /// The time-only terms at fractional trace hour `hour`.
+    fn time_terms(&self, hour: f64) -> TimeTerms {
+        TimeTerms {
+            ambient: self.ambient(hour),
+            hours_past_noon: self.hour_of_day(hour) - 12.0,
+        }
+    }
+
+    /// Every Gaussian feature with its centre at the time of `terms`,
+    /// gaps first: gaps hold still, flecks drift with the sun.
+    fn centers(&self, terms: TimeTerms) -> impl Iterator<Item = (&Feature, (f64, f64))> {
+        self.features.iter().enumerate().map(move |(k, f)| {
+            let hours = if k < self.gap_count {
+                0.0
+            } else {
+                terms.hours_past_noon
+            };
+            (f, f.center_at(hours))
+        })
+    }
+
+    /// Light from one point's wave arguments and squared scaled feature
+    /// distances, in model order: the canopy transmission fraction
+    /// (deep-shade base plus density waves, gaps and flecks, clamped to
+    /// 0..0.95) times the ambient light. Both the lattice kernel and the
+    /// single-point [`LatentModel::light`] end here.
+    fn light_from(
+        &self,
+        terms: TimeTerms,
+        wave_arguments: impl Iterator<Item = f64>,
+        feature_r2: impl Iterator<Item = f64>,
+    ) -> f64 {
         let mut t = 0.04; // deep-shade base
-        for (kx, ky, phase, amp) in &self.density_waves {
-            t += 0.4 * amp * (kx * p.x + ky * p.y + phase).sin().abs();
+        for (wave, argument) in self.density_waves.iter().zip(wave_arguments) {
+            t += wave.scale * argument.sin().abs();
         }
-        for g in &self.gaps {
-            t += g.value(p, 0.0);
+        for (feature, r2) in self.features.iter().zip(feature_r2) {
+            t = feature.accumulate(t, r2);
         }
-        for f in &self.flecks {
-            t += f.value(p, hours_past_noon);
-        }
-        t.clamp(0.0, 0.95)
+        terms.ambient * t.clamp(0.0, 0.95)
     }
 
-    /// Light in KLux at position `p` and fractional trace hour `hour`.
+    /// The light kernel: appends `(p, light)` for every point
+    /// `p = (x, y)` of the lattice `xs × ys` that `keep` admits, x-major,
+    /// at fractional trace hour `hour`. The time-only terms are computed
+    /// once per call, the per-column and per-row offsets and wave terms
+    /// once per lattice; every point then costs its sums, three sines
+    /// and the Gaussian terms that can still change the result.
+    pub(crate) fn light_lattice(
+        &self,
+        xs: &[f64],
+        ys: &[f64],
+        hour: f64,
+        keep: &dyn Fn(Point2) -> bool,
+        out: &mut Vec<(Point2, f64)>,
+    ) {
+        let terms = self.time_terms(hour);
+        let waves = self.density_waves.len();
+        let stride = waves + self.features.len();
+        // Per column: `kx·x` for each wave, then the squared scaled
+        // x-offset from each feature centre; likewise per row in y.
+        let mut columns = Vec::with_capacity(xs.len() * stride);
+        for &x in xs {
+            columns.extend(self.density_waves.iter().map(|w| w.kx * x));
+            columns.extend(
+                self.centers(terms)
+                    .map(|(f, (cx, _))| Feature::axis_term(x, cx, f.sigma_x)),
+            );
+        }
+        let mut rows = Vec::with_capacity(ys.len() * stride);
+        for &y in ys {
+            rows.extend(self.density_waves.iter().map(|w| w.ky * y));
+            rows.extend(
+                self.centers(terms)
+                    .map(|(f, (_, cy))| Feature::axis_term(y, cy, f.sigma_y)),
+            );
+        }
+        for (&x, column) in xs.iter().zip(columns.chunks_exact(stride)) {
+            for (&y, row) in ys.iter().zip(rows.chunks_exact(stride)) {
+                let p = Point2::new(x, y);
+                if !keep(p) {
+                    continue;
+                }
+                let (cw, cf) = column.split_at(waves);
+                let (rw, rf) = row.split_at(waves);
+                let arguments = self
+                    .density_waves
+                    .iter()
+                    .zip(cw.iter().zip(rw))
+                    .map(|(w, (&xt, &yt))| w.argument(xt, yt));
+                let r2 = cf.iter().zip(rf).map(|(&ex, &ey)| ex + ey);
+                out.push((p, self.light_from(terms, arguments, r2)));
+            }
+        }
+    }
+
+    /// Light in KLux at position `p` and fractional trace hour `hour`:
+    /// the 1×1 lattice, with its axis terms computed in place instead of
+    /// stored.
     pub(crate) fn light(&self, p: Point2, hour: f64) -> f64 {
-        let h = self.hour_of_day(hour);
-        self.ambient(hour) * self.transmission(p, h - 12.0)
+        let terms = self.time_terms(hour);
+        let arguments = self
+            .density_waves
+            .iter()
+            .map(|w| w.argument(w.kx * p.x, w.ky * p.y));
+        let r2 = self.centers(terms).map(|(f, (cx, cy))| {
+            Feature::axis_term(p.x, cx, f.sigma_x) + Feature::axis_term(p.y, cy, f.sigma_y)
+        });
+        self.light_from(terms, arguments, r2)
     }
 
-    /// Temperature in °C.
-    pub(crate) fn temperature(&self, p: Point2, hour: f64) -> f64 {
+    /// Temperature in °C where the light reading at `hour` is `light`.
+    pub(crate) fn temperature(&self, light: f64, hour: f64) -> f64 {
         // Base 8 °C at night, up to ~+10 °C at noon, plus a light
         // coupling (sunlit spots are warmer).
-        8.0 + 10.0 * self.ambient(hour) / 60.0 + 0.08 * self.light(p, hour)
+        8.0 + 10.0 * self.ambient(hour) / 60.0 + 0.08 * light
     }
 
-    /// Relative humidity in %.
-    pub(crate) fn humidity(&self, p: Point2, hour: f64) -> f64 {
-        (95.0 - 2.2 * (self.temperature(p, hour) - 8.0)).clamp(20.0, 100.0)
+    /// Relative humidity in % at `temperature` °C.
+    pub(crate) fn humidity(temperature: f64) -> f64 {
+        (95.0 - 2.2 * (temperature - 8.0)).clamp(20.0, 100.0)
     }
 
     /// Side of the plot.
@@ -262,6 +420,19 @@ impl TimeVaryingField for LatentLightField {
     fn value_at(&self, p: Point2, t: f64) -> f64 {
         self.model.light(p, t / 60.0)
     }
+
+    /// The model's lattice kernel: bit-identical to
+    /// [`value_at`](TimeVaryingField::value_at) at every point.
+    fn lattice_at(
+        &self,
+        xs: &[f64],
+        ys: &[f64],
+        t: f64,
+        keep: &dyn Fn(Point2) -> bool,
+        out: &mut Vec<(Point2, f64)>,
+    ) {
+        self.model.light_lattice(xs, ys, t / 60.0, keep, out);
+    }
 }
 
 /// Generates node metadata, readings and the latent model.
@@ -283,8 +454,8 @@ pub(crate) fn generate(cfg: &ForestConfig) -> (Vec<NodeMeta>, Vec<SensorReading>
             let p = Point2::new(n.x, n.y);
             let t = hour as f64;
             let light = model.light(p, t);
-            let temperature = model.temperature(p, t);
-            let humidity = model.humidity(p, t);
+            let temperature = model.temperature(light, t);
+            let humidity = LatentModel::humidity(temperature);
             readings.push(SensorReading {
                 node_id: n.id,
                 hour,
@@ -357,6 +528,75 @@ mod tests {
         };
         assert!(mean(12, |r| r.temperature) > mean(2, |r| r.temperature));
         assert!(mean(12, |r| r.humidity) < mean(2, |r| r.humidity));
+    }
+
+    /// The model's sum as first written, with every Gaussian term added.
+    fn light_unskipped(model: &LatentModel, p: Point2, hour: f64) -> f64 {
+        let gauss = |f: &Feature, hours_past_noon: f64| {
+            let cx = f.center.x + f.drift.0 * hours_past_noon;
+            let cy = f.center.y + f.drift.1 * hours_past_noon;
+            let dx = (p.x - cx) / f.sigma_x;
+            let dy = (p.y - cy) / f.sigma_y;
+            f.amplitude * (-0.5 * (dx * dx + dy * dy)).exp()
+        };
+        let hours_past_noon = model.hour_of_day(hour) - 12.0;
+        let mut t = 0.04;
+        for w in &model.density_waves {
+            t += w.scale * (w.kx * p.x + w.ky * p.y + w.phase).sin().abs();
+        }
+        let (gaps, flecks) = model.features.split_at(model.gap_count);
+        for g in gaps {
+            t += gauss(g, 0.0);
+        }
+        for f in flecks {
+            t += gauss(f, hours_past_noon);
+        }
+        model.ambient(hour) * t.clamp(0.0, 0.95)
+    }
+
+    #[test]
+    fn skipped_tail_terms_change_no_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let (_, _, model) = generate(&small());
+        let side = model.side();
+        let mut points: Vec<Point2> = (0..4000)
+            .map(|_| {
+                Point2::new(
+                    rng.gen_range(-80.0..side + 80.0),
+                    rng.gen_range(-80.0..side + 80.0),
+                )
+            })
+            .collect();
+        // Points straddling each feature's cutoff distance along x.
+        for f in &model.features {
+            let reach = f.cutoff.sqrt() * f.sigma_x;
+            for k in -20..=20 {
+                let d = reach * (1.0 + k as f64 * 1e-3);
+                points.push(Point2::new(f.center.x + d, f.center.y));
+                points.push(Point2::new(f.center.x - d, f.center.y));
+            }
+        }
+        let mut skipped = 0usize;
+        for (n, &p) in points.iter().enumerate() {
+            let hour = [10.0, 12.0, 15.5, 7.25][n % 4];
+            let got = model.light(p, hour);
+            let want = light_unskipped(&model, p, hour);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{got} vs {want} at {p:?}, {hour} h"
+            );
+            let terms = model.time_terms(hour);
+            skipped += model
+                .centers(terms)
+                .filter(|(f, (cx, cy))| {
+                    Feature::axis_term(p.x, *cx, f.sigma_x)
+                        + Feature::axis_term(p.y, *cy, f.sigma_y)
+                        > f.cutoff
+                })
+                .count();
+        }
+        assert!(skipped > 1000, "only {skipped} terms were skipped");
     }
 
     #[test]

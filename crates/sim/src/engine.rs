@@ -185,7 +185,7 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
                 let p = sim.nodes[i].position;
                 debug_assert!(sim.nodes[i].alive);
                 let sensed = sim.sense(p);
-                let value = sim.field.value_at(p, sim.time);
+                let value = own_reading(&sensed, p)?;
                 Ok::<f64, CoreError>(
                     cps_core::ostd::fit_quadric(p, value, &sensed)?.gaussian_curvature(),
                 )
@@ -504,21 +504,39 @@ impl<F: TimeVaryingField> Simulation<F> {
 
     /// [`Simulation::sense`] at an explicit time — a stuck sensor keeps
     /// sampling the field as of the instant it froze.
+    ///
+    /// The disc is one [`TimeVaryingField::lattice_at`] call: the
+    /// lattice offsets `-steps..=steps` on each axis, x-major, keeping
+    /// the points within `Rs` of `center`.
     pub(crate) fn sense_at(&self, center: Point2, time: f64) -> Vec<(Point2, f64)> {
         let rs = self.config.cps.sensing_radius();
         let s = self.config.sense_spacing;
         let steps = (rs / s).floor() as i32;
-        let mut out = Vec::with_capacity(((2 * steps + 1) * (2 * steps + 1)) as usize);
-        for dx in -steps..=steps {
-            for dy in -steps..=steps {
-                let p = Point2::new(center.x + dx as f64 * s, center.y + dy as f64 * s);
-                if center.distance(p) <= rs {
-                    out.push((p, self.field.value_at(p, time)));
-                }
-            }
-        }
+        let xs: Vec<f64> = (-steps..=steps).map(|d| center.x + d as f64 * s).collect();
+        let ys: Vec<f64> = (-steps..=steps).map(|d| center.y + d as f64 * s).collect();
+        let mut out = Vec::with_capacity(xs.len() * ys.len());
+        self.field
+            .lattice_at(&xs, &ys, time, &|p| center.distance(p) <= rs, &mut out);
         out
     }
+}
+
+/// The node's own reading: the centre sample of its sensing disc, which
+/// lies exactly at `center` (offset 0 on both axes).
+///
+/// # Errors
+///
+/// [`CoreError::InvalidParameter`] when the disc has no centre sample,
+/// which only a non-finite position can cause.
+pub(crate) fn own_reading(sensed: &[(Point2, f64)], center: Point2) -> Result<f64, CoreError> {
+    sensed
+        .iter()
+        .find(|(p, _)| *p == center)
+        .map(|&(_, z)| z)
+        .ok_or(CoreError::InvalidParameter {
+            name: "position",
+            requirement: "a sensing node's position must be finite",
+        })
 }
 
 impl<F: TimeVaryingField + Sync> Simulation<F> {

@@ -42,7 +42,7 @@ use cps_field::TimeVaryingField;
 use cps_geometry::Point2;
 use cps_network::{articulation_points, UnitDiskGraph};
 
-use crate::engine::{Simulation, StepReport};
+use crate::engine::{own_reading, Simulation, StepReport};
 use crate::fault::{recovery_overrides, FaultRng, SensorFault};
 
 /// Iterations of the LCM cooperative-repair fixed point per slot.
@@ -365,10 +365,11 @@ impl<F: TimeVaryingField + Sync> Stage<F> for OptimizeStage {
                         curvature: this.nodes[alive_ids[j]].curvature,
                     })
                     .collect();
-                let mut value = this.field.value_at(p, sense_time);
+                let mut value = own_reading(&sensed, p)?;
                 if let SensorFault::Outlier(delta) = fault {
-                    // Corrupt only the node's own point reading: the
-                    // lattice is intact, so the quadric fit sees a
+                    // Corrupt only the node's own point reading (a
+                    // copy of the disc's centre sample): the lattice
+                    // is intact, so the quadric fit sees a
                     // phantom spike at the center rather than a uniform
                     // (curvature-invisible) offset.
                     value += delta;
