@@ -9,7 +9,7 @@ use cps_core::{analyze_deployment_with, EvalOptions, SurvivabilityTracker};
 use cps_field::{Field, Parallelism};
 use cps_geometry::{GridSpec, Point2, Rect};
 use cps_greenorbs::{Channel, Dataset, ForestConfig, LatentLightField};
-use cps_network::UnitDiskGraph;
+use cps_network::{articulation_points, UnitDiskGraph};
 use cps_sim::{
     run_sweep, scenario, CheckpointDir, CheckpointPolicy, CmaBuilder, DeltaTimeline, EngineBuilder,
     FaultEvent, FaultPlan, OptimizerKind, RunRecorder, SweepSpec, TrajectoryRecorder,
@@ -112,9 +112,13 @@ fn start_lattice_capacity() -> usize {
     side * side
 }
 
+/// Reads the input file that `--{flag}` names; the error names both.
+fn read_input(flag: &str, path: &str) -> Result<String, Box<dyn Error>> {
+    fs::read_to_string(path).map_err(|e| format!("cannot read --{flag} {path}: {e}").into())
+}
+
 fn load_trace(path: &str) -> Result<Dataset, Box<dyn Error>> {
-    let text = fs::read_to_string(path)?;
-    Ok(Dataset::from_json(&text)?)
+    Ok(Dataset::from_json(&read_input("trace", path)?)?)
 }
 
 /// `cps generate` — synthesize and save a trace.
@@ -412,7 +416,7 @@ pub fn simulate(args: &Args) -> CmdResult {
     let mut survivability = survivability.ok_or("recorder lost the survivability tracker")?;
     let survivability_report = if !faults_spec.is_empty() {
         let survivors = UnitDiskGraph::new(sim.positions(), sim.config().cps.comm_radius())?;
-        survivability.set_critical_nodes(survivors.critical_nodes());
+        survivability.set_critical_nodes(articulation_points(&survivors));
         let report = survivability.finish();
         println!(
             "survivability: {}/{} nodes alive  partitions {} (reconnected {})  \
@@ -495,7 +499,7 @@ pub fn sweep(args: &Args) -> CmdResult {
         cps_obs::reset();
         cps_obs::enable();
     }
-    let spec = SweepSpec::from_json(&fs::read_to_string(&spec_path)?)?;
+    let spec = SweepSpec::from_json(&read_input("spec", &spec_path)?)?;
     let jobs = spec.jobs();
     println!(
         "sweep: {} jobs ({} cells x {} seeds), spec digest {:016x}",
@@ -590,13 +594,10 @@ fn print_report(report: &cps_core::DeploymentReport) {
     );
 }
 
-/// Reads an `x,y` CSV (with or without header) into positions.
-///
-/// # Errors
-///
-/// I/O failures and malformed rows.
-pub fn read_positions_csv(path: &str) -> Result<Vec<Point2>, Box<dyn Error>> {
-    let text = fs::read_to_string(path)?;
+/// Reads the `--plan` file, an `x,y` CSV (with or without header), into
+/// positions.
+fn read_positions_csv(path: &str) -> Result<Vec<Point2>, Box<dyn Error>> {
+    let text = read_input("plan", path)?;
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if i == 0 && line.trim() == "x,y" {

@@ -265,3 +265,42 @@ fn simulate_with_cma_rejects_k_beyond_the_start_lattice() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn missing_input_files_are_named_with_their_flag() {
+    let dir = scratch("missing_inputs");
+    let trace = dir.join("trace.json");
+    let out = cps()
+        .args([
+            "generate",
+            "--out",
+            trace.to_str().unwrap(),
+            "--nodes",
+            "60",
+            "--hours",
+            "12",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let trace = trace.to_str().unwrap();
+    let results = dir.join("results.json");
+    let results = results.to_str().unwrap();
+    let absent = dir.join("absent");
+    let absent = absent.to_str().unwrap();
+    let cases = [
+        (vec!["plan"], "--trace"),
+        (vec!["sweep", "--out", results], "--spec"),
+        (vec!["report", "--trace", trace], "--plan"),
+    ];
+    for (args, flag) in cases {
+        let out = cps().args(&args).args([flag, absent]).output().unwrap();
+        assert!(!out.status.success(), "{flag} {absent} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("cannot read {flag} {absent}: ")),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -11,7 +11,7 @@
 use cps_field::{Field, Parallelism};
 use cps_geometry::{coverage_areas, GridSpec, Point2, Rect, Triangulation};
 use cps_linalg::Summary;
-use cps_network::{articulation_points, criticality, network_diameter, UnitDiskGraph};
+use cps_network::{articulation_points, network_diameter, UnitDiskGraph};
 use serde::{Deserialize, Serialize};
 
 use crate::{CoreError, DeltaEvaluator, DeploymentEvaluation};
@@ -116,7 +116,10 @@ fn finish_report(
 ) -> Result<DeploymentReport, CoreError> {
     let graph = UnitDiskGraph::new(positions.to_vec(), comm_radius)?;
     let cuts = articulation_points(&graph);
-    let crit = criticality(&graph);
+    let crit = match graph.node_count() {
+        0 => 0.0,
+        n => cuts.len() as f64 / n as f64,
+    };
     let diameter = if evaluation.connected {
         network_diameter(&graph)
     } else {
@@ -458,6 +461,8 @@ mod tests {
             !report.articulation_points.is_empty(),
             "relay chains should contain cut vertices"
         );
+        let cut_share = report.articulation_points.len() as f64 / fra.positions.len() as f64;
+        assert_eq!(report.criticality, cut_share);
         assert!(report.coverage_imbalance() > 1.0);
     }
 

@@ -11,8 +11,7 @@
 //!   paper's Fig. 3 — plus planes, paraboloids, Gaussian mixtures);
 //! * sampled surfaces on regular grids with bilinear interpolation
 //!   ([`GridField`]);
-//! * time dynamics ([`DriftingField`], [`DiurnalField`],
-//!   [`KeyframeField`]);
+//! * time dynamics ([`DriftingField`], [`KeyframeField`]);
 //! * the reconstruction surface `z* = DT(x, y)` built from scattered
 //!   samples by Delaunay triangulation ([`ReconstructedSurface`]);
 //! * the paper's quality metric `δ` — the volume difference between two
@@ -56,7 +55,6 @@ mod dynamics;
 mod error;
 mod grid;
 mod noise;
-mod ops;
 pub mod par;
 pub mod raster;
 mod reconstruct;
@@ -65,11 +63,10 @@ mod traits;
 pub use analytic::{
     GaussianBlob, GaussianMixtureField, ParaboloidField, PeaksField, PlaneField, RidgeField,
 };
-pub use dynamics::{DiurnalField, DriftingField, KeyframeField};
+pub use dynamics::{DriftingField, KeyframeField};
 pub use error::FieldError;
 pub use grid::GridField;
 pub use noise::NoiseField;
-pub use ops::{ClampedField, ScaledField, SumField, TranslatedField};
 pub use par::Parallelism;
 pub use raster::{DeltaTotals, RasterPlan};
 pub use reconstruct::ReconstructedSurface;

@@ -17,9 +17,8 @@
 //!
 //! The [`Dataset`] API is what a loader for the real trace would offer:
 //! query readings, extract a smoothed [`cps_field::GridField`] for a
-//! region at an hour (the experiments' ground truth `f(x, y)`), build a
-//! time-varying [`cps_field::KeyframeField`], and round-trip through
-//! CSV/JSON.
+//! region at an hour (the experiments' ground truth `f(x, y)`), and
+//! round-trip through CSV/JSON.
 //!
 //! # Example
 //!
@@ -46,10 +45,8 @@ mod dataset;
 mod error;
 mod generator;
 mod records;
-mod stats;
 
 pub use dataset::Dataset;
 pub use error::TraceError;
 pub use generator::{ForestConfig, LatentLightField};
 pub use records::{Channel, NodeMeta, SensorReading};
-pub use stats::DailyProfile;

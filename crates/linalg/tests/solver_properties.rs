@@ -1,86 +1,53 @@
-//! Property tests on the linear-algebra kernels.
+//! Property tests on the 3×3 solver behind the curvature quadric fit.
 
-use cps_linalg::{lstsq, lstsq_normal, solve_cholesky, solve_dense, DMatrix};
+use cps_linalg::{solve_3x3, LinalgError};
 use proptest::prelude::*;
 
-/// Random well-conditioned square systems: diagonally dominant matrices
-/// are never singular.
-fn dominant_system(n: usize) -> impl Strategy<Value = (DMatrix, Vec<f64>)> {
+/// Random well-conditioned 3×3 systems: diagonally dominant matrices are
+/// never singular.
+fn dominant_system() -> impl Strategy<Value = ([[f64; 3]; 3], [f64; 3])> {
     (
-        prop::collection::vec(-1.0f64..1.0, n * n),
-        prop::collection::vec(-10.0f64..10.0, n),
+        prop::collection::vec(-1.0f64..1.0, 9),
+        prop::collection::vec(-10.0f64..10.0, 3),
     )
-        .prop_map(move |(mut entries, b)| {
-            for i in 0..n {
+        .prop_map(|(entries, b)| {
+            let mut m = [[0.0; 3]; 3];
+            for i in 0..3 {
+                for j in 0..3 {
+                    m[i][j] = entries[i * 3 + j];
+                }
                 // Make row i dominant.
-                let row_sum: f64 = (0..n)
-                    .filter(|&j| j != i)
-                    .map(|j| entries[i * n + j].abs())
-                    .sum();
-                entries[i * n + i] = row_sum + 1.0;
+                let row_sum: f64 = (0..3).filter(|&j| j != i).map(|j| m[i][j].abs()).sum();
+                m[i][i] = row_sum + 1.0;
             }
-            (DMatrix::from_vec(n, n, entries).expect("shape matches"), b)
+            (m, [b[0], b[1], b[2]])
         })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Gaussian elimination solves every diagonally dominant system
-    /// with a small residual.
+    /// Cramer's rule solves every diagonally dominant system with a
+    /// small residual.
     #[test]
-    fn gaussian_residual_is_small((a, b) in dominant_system(5)) {
-        let x = solve_dense(&a, &b).unwrap();
-        let ax = a.mul_vec(&x).unwrap();
-        for (p, q) in ax.iter().zip(&b) {
-            prop_assert!((p - q).abs() < 1e-8, "{p} vs {q}");
+    fn solve_3x3_residual_is_small((m, b) in dominant_system()) {
+        let x = solve_3x3(&m, &b).unwrap();
+        for (row, bi) in m.iter().zip(&b) {
+            let ax: f64 = row.iter().zip(&x).map(|(a, xi)| a * xi).sum();
+            prop_assert!((ax - bi).abs() < 1e-8, "{ax} vs {bi}");
         }
     }
 
-    /// Cholesky agrees with Gaussian elimination on SPD systems
-    /// (AᵀA + I is always SPD).
+    /// A matrix with two proportional rows is singular.
     #[test]
-    fn cholesky_matches_gaussian((a, b) in dominant_system(4)) {
-        let mut spd = a.gram();
-        for i in 0..4 {
-            spd[(i, i)] += 1.0;
-        }
-        let x1 = solve_cholesky(&spd, &b).unwrap();
-        let x2 = solve_dense(&spd, &b).unwrap();
-        for (p, q) in x1.iter().zip(&x2) {
-            prop_assert!((p - q).abs() < 1e-7);
-        }
-    }
-
-    /// QR least squares and the normal equations agree on
-    /// well-conditioned tall systems, and the residual is orthogonal to
-    /// the column space.
-    #[test]
-    fn least_squares_normal_equations_agree(
-        rows in prop::collection::vec((-3.0f64..3.0, -3.0f64..3.0), 8..20),
-        coeffs in (0.5f64..2.0, -2.0f64..2.0, -1.0f64..1.0),
+    fn solve_3x3_rejects_proportional_rows(
+        (m, b) in dominant_system(),
+        scale in -4.0f64..4.0,
+        (src, offset) in (0usize..3, 1usize..3),
     ) {
-        // Design: [1, x, y] with well-spread abscissae.
-        let n = rows.len();
-        let mut design = DMatrix::zeros(n, 3);
-        let mut b = Vec::with_capacity(n);
-        for (r, &(x, y)) in rows.iter().enumerate() {
-            design[(r, 0)] = 1.0;
-            design[(r, 1)] = x + r as f64 * 0.05; // break exact collinearity
-            design[(r, 2)] = y - r as f64 * 0.03;
-            b.push(coeffs.0 + coeffs.1 * design[(r, 1)] + coeffs.2 * design[(r, 2)]
-                + 0.01 * ((r % 3) as f64 - 1.0));
-        }
-        let x_qr = lstsq(&design, &b).unwrap();
-        let x_ne = lstsq_normal(&design, &b).unwrap();
-        for (p, q) in x_qr.iter().zip(&x_ne) {
-            prop_assert!((p - q).abs() < 1e-6, "{p} vs {q}");
-        }
-        // Orthogonality of the residual.
-        let ax = design.mul_vec(&x_qr).unwrap();
-        let resid: Vec<f64> = b.iter().zip(&ax).map(|(u, v)| u - v).collect();
-        for v in design.transpose_mul_vec(&resid).unwrap() {
-            prop_assert!(v.abs() < 1e-6, "residual not orthogonal: {v}");
-        }
+        let dst = (src + offset) % 3;
+        let mut m = m;
+        m[dst] = m[src].map(|v| v * scale);
+        prop_assert_eq!(solve_3x3(&m, &b), Err(LinalgError::Singular));
     }
 }

@@ -75,25 +75,6 @@ pub fn articulation_points(graph: &UnitDiskGraph) -> Vec<usize> {
     (0..n).filter(|&i| is_cut[i]).collect()
 }
 
-/// Fraction of nodes whose individual failure would disconnect the
-/// network — a scalar robustness indicator (0 = fully redundant).
-pub fn criticality(graph: &UnitDiskGraph) -> f64 {
-    if graph.node_count() == 0 {
-        return 0.0;
-    }
-    articulation_points(graph).len() as f64 / graph.node_count() as f64
-}
-
-impl UnitDiskGraph {
-    /// The nodes whose individual failure would split this graph —
-    /// [`articulation_points`] as a method, for survivability
-    /// reporting. Killing any *other* node never increases the
-    /// component count (property-tested).
-    pub fn critical_nodes(&self) -> Vec<usize> {
-        articulation_points(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,7 +89,6 @@ mod tests {
     fn chain_interior_is_critical() {
         let g = chain(5);
         assert_eq!(articulation_points(&g), vec![1, 2, 3]);
-        assert!((criticality(&g) - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -123,7 +103,6 @@ mod tests {
         let g = UnitDiskGraph::new(pts, 1.1).unwrap();
         assert!(g.is_connected());
         assert!(articulation_points(&g).is_empty());
-        assert_eq!(criticality(&g), 0.0);
     }
 
     #[test]
@@ -150,7 +129,7 @@ mod tests {
     fn trivial_graphs() {
         assert!(articulation_points(&chain(1)).is_empty());
         assert!(articulation_points(&chain(2)).is_empty());
-        assert_eq!(criticality(&UnitDiskGraph::new(vec![], 1.0).unwrap()), 0.0);
+        assert!(articulation_points(&UnitDiskGraph::new(vec![], 1.0).unwrap()).is_empty());
     }
 
     /// Ground-truth check: removing each reported articulation point

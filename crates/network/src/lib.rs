@@ -44,7 +44,7 @@ mod graph;
 mod mst;
 mod paths;
 
-pub use articulation::{articulation_points, criticality};
+pub use articulation::articulation_points;
 pub use components::UnionFind;
 pub use connect::RelayPlan;
 pub use error::NetworkError;

@@ -430,11 +430,6 @@ impl<F: TimeVaryingField> Simulation<F> {
         &self.field
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref().map(|rt| &rt.plan)
-    }
-
     /// Everything the fault subsystem recorded so far: deaths,
     /// partitions, reconnections. Empty without a fault plan.
     pub fn fault_events(&self) -> &[FaultEvent] {
@@ -444,50 +439,10 @@ impl<F: TimeVaryingField> Simulation<F> {
             .unwrap_or(&[])
     }
 
-    /// Installs (or replaces) a fault plan mid-run; its slot 0 is the
-    /// next step. Prefer [`CmaBuilder::faults`] for whole-run plans.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = Some(FaultRuntime::new(plan, self.nodes.len()));
-    }
-
     /// Whether the surviving network was split into multiple components
     /// at the last fault-plan topology observation.
     pub fn is_partitioned(&self) -> bool {
         self.fault.as_ref().is_some_and(|rt| rt.partitioned())
-    }
-
-    /// Overrides the CMA curvature gain (see
-    /// [`CmaConfig::curvature_gain`]) for subsequent steps.
-    pub fn set_curvature_gain(&mut self, gain: f64) {
-        self.cma.curvature_gain = gain;
-    }
-
-    /// Overrides the CMA peak-attraction gain (see
-    /// [`CmaConfig::peak_gain`]) for subsequent steps.
-    pub fn set_peak_gain(&mut self, gain: f64) {
-        self.cma.peak_gain = gain;
-    }
-
-    /// Overrides the CMA stop threshold for subsequent steps.
-    pub fn set_stop_threshold(&mut self, threshold: f64) {
-        self.cma.stop_threshold = threshold;
-    }
-
-    /// Overrides the CMA curvature-weight significance floor (see
-    /// [`CmaConfig::weight_floor`]) for subsequent steps.
-    pub fn set_weight_floor(&mut self, floor: f64) {
-        self.cma.weight_floor = floor;
-    }
-
-    /// Overrides the CMA weight exponent (see
-    /// [`CmaConfig::weight_exponent`]) for subsequent steps.
-    pub fn set_weight_exponent(&mut self, exponent: f64) {
-        self.cma.weight_exponent = exponent;
-    }
-
-    /// The CMA parameters in effect.
-    pub fn cma_config(&self) -> &CmaConfig {
-        &self.cma
     }
 
     /// Everything a node senses within `Rs`: `(position, value)` on the

@@ -60,7 +60,7 @@ pub use optimizer::{
     CmaOptimizer, EngineBuilder, FraOptimizer, HybridOptimizer, Optimizer, OptimizerKind,
     OptimizerRun,
 };
-pub use sampling::{path_sampling_gain, reconstruct_with_path_samples, PathSample, PathSampleBank};
+pub use sampling::{path_sampling_gain, PathSample, PathSampleBank};
 pub use stage::{
     EventBus, ExchangeStage, FaultStage, ObsAdapter, OptimizeStage, RecordStage, RecoveryStage,
     SenseStage, Stage, StagePipeline, StepCtx, StepEvent, StepObserver,

@@ -8,8 +8,8 @@
 //! along a node's path is a free extra sample. [`PathSampleBank`]
 //! accumulates timestamped path samples and serves the *fresh* subset
 //! (stale samples of a time-varying field mislead the reconstruction),
-//! and [`reconstruct_with_path_samples`] folds them into the Delaunay
-//! surface alongside the nodes' current positions.
+//! and [`path_sampling_gain`] folds them into the Delaunay surface
+//! alongside the nodes' current positions.
 
 use cps_core::CoreError;
 use cps_field::{ReconstructedSurface, TimeVaryingField};
@@ -113,7 +113,7 @@ impl PathSampleBank {
 /// # Errors
 ///
 /// Propagates reconstruction errors (fewer than 3 distinct positions).
-pub fn reconstruct_with_path_samples<F: TimeVaryingField>(
+fn reconstruct_with_path_samples<F: TimeVaryingField>(
     sim: &Simulation<F>,
     bank: &PathSampleBank,
     max_age: f64,

@@ -591,18 +591,6 @@ impl<F: TimeVaryingField + Sync> StagePipeline<F> {
         StagePipeline { stages }
     }
 
-    /// Stage names, in execution order.
-    pub fn stage_names(&self) -> Vec<&'static str> {
-        self.stages.iter().map(|s| s.name()).collect()
-    }
-
-    /// The standard pipeline's stage names (what
-    /// [`standard`](StagePipeline::standard) runs), without building
-    /// the pipeline — used by checkpoint snapshots.
-    pub fn standard_names() -> &'static [&'static str] {
-        &STANDARD_STAGES
-    }
-
     /// Runs every stage in order over `ctx`, emitting
     /// [`StepEvent::StageStart`]/[`StepEvent::StageEnd`] around each
     /// on the bus.

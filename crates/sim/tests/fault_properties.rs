@@ -10,7 +10,7 @@
 
 use cps_field::{Parallelism, PeaksField, Static};
 use cps_geometry::{GridSpec, Point2, Rect};
-use cps_network::UnitDiskGraph;
+use cps_network::{articulation_points, UnitDiskGraph};
 use cps_sim::{scenario, CmaBuilder, DeltaTimeline, FaultPlan, MobileNode, RecoveryPolicy};
 use proptest::prelude::*;
 
@@ -140,7 +140,7 @@ proptest! {
     ) {
         let positions: Vec<Point2> = pts.iter().map(|&(x, y)| Point2::new(x, y)).collect();
         let graph = UnitDiskGraph::new(positions.clone(), 18.0).unwrap();
-        let critical = graph.critical_nodes();
+        let critical = articulation_points(&graph);
         let victim = pick.index(positions.len());
         prop_assume!(!critical.contains(&victim));
         let survivors: Vec<Point2> = positions
