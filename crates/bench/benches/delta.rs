@@ -2,7 +2,6 @@
 
 use cps_core::osd::baselines;
 use cps_core::DeltaEvaluator;
-use cps_field::par::map_rows;
 use cps_field::raster::delta_rms_raster;
 use cps_field::{delta, Field, Parallelism, PeaksField, PlaneField, ReconstructedSurface};
 use cps_geometry::{GridSpec, Rect};
@@ -101,49 +100,11 @@ fn bench_kernels(c: &mut Criterion) {
     }
 }
 
-/// Pool reuse vs per-call thread spawn on many small row sweeps: the
-/// dispatch overhead the persistent pool exists to eliminate.
-fn bench_pool_dispatch(c: &mut Criterion) {
-    const ROWS: usize = 128;
-    let row_work = |j: usize| -> f64 {
-        let mut acc = 0.0;
-        for i in 0..ROWS {
-            acc += ((i * 31 + j * 17) as f64).sqrt();
-        }
-        acc
-    };
-    let par = Parallelism::fixed(2);
-    let mut group = c.benchmark_group("pool_dispatch_128_rows_2t");
-    group.bench_function("pooled", |b| {
-        b.iter(|| map_rows(ROWS, par, row_work).iter().sum::<f64>())
-    });
-    group.bench_function("spawn_per_call", |b| {
-        b.iter(|| {
-            // The pre-pool dispatch: fresh scoped threads every call.
-            let mut rows: Vec<f64> = vec![0.0; ROWS];
-            let (lo, hi) = rows.split_at_mut(ROWS / 2);
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    for (j, slot) in hi.iter_mut().enumerate() {
-                        *slot = row_work(ROWS / 2 + j);
-                    }
-                });
-                for (j, slot) in lo.iter_mut().enumerate() {
-                    *slot = row_work(j);
-                }
-            });
-            rows.iter().sum::<f64>()
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_volume_difference,
     bench_volume_difference_parallel,
     bench_full_evaluation,
-    bench_kernels,
-    bench_pool_dispatch
+    bench_kernels
 );
 criterion_main!(benches);

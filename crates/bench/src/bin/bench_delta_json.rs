@@ -1,7 +1,7 @@
 //! Emits `BENCH_delta.json`: wall-clock timings of the δ quadrature
 //! (Eqn. 2) on the row-sharded parallel engine, serial vs 2/4/auto
 //! threads, plus the raster kernel against the generic per-cell
-//! quadrature and the persistent-pool dispatch overhead.
+//! quadrature and the batch sweep engine at 1/2/8 workers.
 //!
 //! The workload is the hot path the engine was built for: δ between an
 //! analytic reference and a Delaunay [`ReconstructedSurface`] (every
@@ -28,7 +28,6 @@ use std::fs;
 use std::time::Instant;
 
 use cps_core::osd::baselines;
-use cps_field::par::map_rows;
 use cps_field::raster::delta_rms_raster;
 use cps_field::{delta, Field, Parallelism, PeaksField, ReconstructedSurface};
 use cps_field::{GaussianBlob, Static};
@@ -60,16 +59,6 @@ struct KernelEntry {
     raster_median_ns: u64,
     speedup: f64,
     rel_diff: f64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct PoolEntry {
-    threads: usize,
-    rows: usize,
-    calls: usize,
-    spawn_median_ns: u64,
-    pooled_median_ns: u64,
-    speedup: f64,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -112,7 +101,6 @@ struct BenchDoc {
     bit_identical_across_policies: bool,
     results: Vec<ResultEntry>,
     raster_vs_walk: Vec<KernelEntry>,
-    pool: PoolEntry,
     sweep: SweepEntry,
     trajectory: Vec<TrajectoryPoint>,
 }
@@ -259,7 +247,6 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let raster_vs_walk = bench_kernels();
-    let pool = bench_pool();
     let sweep = bench_sweep();
 
     let sha = git_sha();
@@ -298,7 +285,6 @@ fn main() {
         bit_identical_across_policies: true,
         results,
         raster_vs_walk,
-        pool,
         sweep,
         trajectory,
     };
@@ -327,15 +313,6 @@ fn main() {
             k.rel_diff,
         );
     }
-    println!(
-        "  pool dispatch ({} calls x {} rows, {} threads): spawn {:.2} ms, pooled {:.2} ms (x{:.2})",
-        doc.pool.calls,
-        doc.pool.rows,
-        doc.pool.threads,
-        doc.pool.spawn_median_ns as f64 / 1e6,
-        doc.pool.pooled_median_ns as f64 / 1e6,
-        doc.pool.speedup,
-    );
     for w in &doc.sweep.workers {
         println!(
             "  sweep ({} jobs, {} workers): {:.2} ms, {:.2} jobs/s (x{:.2} vs serial)",
@@ -371,8 +348,7 @@ fn bench_sweep() -> SweepEntry {
     };
     let jobs = spec.jobs().len();
 
-    // One warm pass (spawns the pool workers) doubles as the reference
-    // for the bit-identity gates.
+    // One warm pass doubles as the reference for the bit-identity gates.
     let reference = run_sweep(&spec, 2, None, false, field_for).expect("sweep");
     let reference_json = reference.to_json().expect("sweep json");
 
@@ -476,74 +452,4 @@ fn bench_kernels() -> Vec<KernelEntry> {
             }
         })
         .collect()
-}
-
-/// Times many small parallel row sweeps through the persistent pool
-/// (what `map_rows` does now) against an inline per-call
-/// `thread::scope` dispatch of the identical chunked workload (what it
-/// did before). The work per call is deliberately small so the
-/// dispatch overhead — thread creation vs queue handoff — dominates.
-fn bench_pool() -> PoolEntry {
-    const ROWS: usize = 128;
-    const CALLS: usize = 50;
-    let row_work = |j: usize| -> f64 {
-        let mut acc = 0.0;
-        for i in 0..ROWS {
-            acc += ((i * 31 + j * 17) as f64).sqrt();
-        }
-        acc
-    };
-    let par = Parallelism::fixed(2);
-
-    let pooled = || {
-        let mut total = 0.0;
-        for _ in 0..CALLS {
-            total += map_rows(ROWS, par, row_work).iter().sum::<f64>();
-        }
-        total
-    };
-    let spawned = || {
-        let mut total = 0.0;
-        for _ in 0..CALLS {
-            // The pre-pool dispatch: fresh scoped threads every call,
-            // same halved row deal, same fold order.
-            let mut rows: Vec<f64> = vec![0.0; ROWS];
-            let (lo, hi) = rows.split_at_mut(ROWS / 2);
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    for (j, slot) in hi.iter_mut().enumerate() {
-                        *slot = row_work(ROWS / 2 + j);
-                    }
-                });
-                for (j, slot) in lo.iter_mut().enumerate() {
-                    *slot = row_work(j);
-                }
-            });
-            total += rows.iter().sum::<f64>();
-        }
-        total
-    };
-
-    // Warm both paths (the pool spawns its workers on the first call).
-    let a = pooled();
-    let b = spawned();
-    assert!(
-        (a - b).abs() <= 1e-6 * a.abs().max(1.0),
-        "dispatch paths disagree"
-    );
-
-    let pooled_median_ns = median_ns(REPS, || {
-        pooled();
-    });
-    let spawn_median_ns = median_ns(REPS, || {
-        spawned();
-    });
-    PoolEntry {
-        threads: 2,
-        rows: ROWS,
-        calls: CALLS,
-        spawn_median_ns,
-        pooled_median_ns,
-        speedup: spawn_median_ns as f64 / pooled_median_ns as f64,
-    }
 }

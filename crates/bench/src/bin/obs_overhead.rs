@@ -33,10 +33,10 @@ const REPS: usize = 21;
 /// (a hook moved into an inner loop, a lock on the hot path, ...).
 const MAX_OVERHEAD: f64 = 1.02;
 
-/// Budget for the pool-enabled raster path. Looser than the serial
-/// guard: with worker threads in play, best-of-N still carries a few
+/// Budget for the 2-thread raster path. Looser than the serial
+/// guard: with helper threads in play, best-of-N still carries a few
 /// percent of scheduler jitter that has nothing to do with the hooks.
-const MAX_OVERHEAD_POOLED: f64 = 1.05;
+const MAX_OVERHEAD_PARALLEL: f64 = 1.05;
 
 fn best_of<F: FnMut() -> f64>(mut work: F) -> u64 {
     for _ in 0..WARMUP {
@@ -92,16 +92,16 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Same guard on the pool-enabled raster path: the hooks it adds
-    // (raster counters, pool-task counter, delta_raster timer) must
+    // Same guard on the 2-thread raster path: the hooks it adds
+    // (raster counters, pool_tasks counter, delta_raster timer) must
     // also be free when observation is off.
-    let pooled = Parallelism::fixed(2);
+    let two_threads = Parallelism::fixed(2);
     cps_obs::reset();
     cps_obs::disable();
-    let disabled_ns = best_of(|| delta_rms_raster(&reference, &rebuilt, &grid, pooled).delta);
+    let disabled_ns = best_of(|| delta_rms_raster(&reference, &rebuilt, &grid, two_threads).delta);
 
     cps_obs::enable();
-    let enabled_ns = best_of(|| delta_rms_raster(&reference, &rebuilt, &grid, pooled).delta);
+    let enabled_ns = best_of(|| delta_rms_raster(&reference, &rebuilt, &grid, two_threads).delta);
     let metrics = cps_obs::snapshot();
     cps_obs::disable();
 
@@ -117,14 +117,14 @@ fn main() -> ExitCode {
 
     let ratio = enabled_ns as f64 / disabled_ns as f64;
     println!(
-        "raster kernel (2t pool): disabled {:.3} ms, enabled {:.3} ms, ratio {:.4} (budget {:.2})",
+        "raster kernel (2 threads): disabled {:.3} ms, enabled {:.3} ms, ratio {:.4} (budget {:.2})",
         disabled_ns as f64 / 1e6,
         enabled_ns as f64 / 1e6,
         ratio,
-        MAX_OVERHEAD_POOLED
+        MAX_OVERHEAD_PARALLEL
     );
-    if ratio > MAX_OVERHEAD_POOLED {
-        eprintln!("instrumentation overhead exceeds the {MAX_OVERHEAD_POOLED} budget");
+    if ratio > MAX_OVERHEAD_PARALLEL {
+        eprintln!("instrumentation overhead exceeds the {MAX_OVERHEAD_PARALLEL} budget");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

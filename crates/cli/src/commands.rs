@@ -6,6 +6,7 @@ use std::path::Path;
 
 use cps_core::osd::FraBuilder;
 use cps_core::{analyze_deployment_with, EvalOptions, SurvivabilityTracker};
+use cps_field::par::MAX_WORKERS;
 use cps_field::{Field, Parallelism};
 use cps_geometry::{GridSpec, Point2, Rect};
 use cps_greenorbs::{Channel, Dataset, ForestConfig, LatentLightField};
@@ -47,8 +48,9 @@ commands:
             [--manifest PATH] [--metrics metrics.json]
             run a deterministic batch sweep: the spec names axes (seeds,
             k, comm_radius, faults) and scenario knobs; jobs execute
-            concurrently on the persistent pool and fold into per-cell
-            aggregates that are bit-identical at any --workers value.
+            concurrently on --workers threads (0 = all cores, at most
+            64) and fold into per-cell aggregates that are
+            bit-identical at any --workers value.
             A manifest (default: <out>.manifest) records completed jobs
             after each one; --resume on replays it instead of
             recomputing, with byte-identical output
@@ -57,9 +59,9 @@ commands:
   help      show this text
 
 --threads selects the worker count for grid sweeps (0 = all cores, the
-default); results are identical at any setting. Delta is always
-integrated by the raster kernel, which sweeps each triangle of the
-reconstruction with an incremental scanline fill.
+default; at most 64); results are identical at any setting. Delta is
+always integrated by the raster kernel, which sweeps each triangle of
+the reconstruction with an incremental scanline fill.
 
 --optimizer selects the deployment optimizer for `simulate`: `cma` (the
 default) starts from the evenly spaced grid and runs the paper's OSTD
@@ -110,6 +112,16 @@ fn region() -> Rect {
 fn start_lattice_capacity() -> usize {
     let side = (region().width().min(region().height()) / START_SPACING).floor() as usize + 1;
     side * side
+}
+
+/// Reads the thread count `--{flag}` names (0 = all cores, the
+/// default), rejecting counts above [`MAX_WORKERS`] before any work.
+fn thread_count(args: &Args, flag: &str) -> Result<usize, Box<dyn Error>> {
+    let n = args.usize_or(flag, 0)?;
+    if n > MAX_WORKERS {
+        return Err(format!("--{flag} must be at most {MAX_WORKERS}, got {n}").into());
+    }
+    Ok(n)
 }
 
 /// Reads the input file that `--{flag}` names; the error names both.
@@ -190,7 +202,7 @@ pub fn plan(args: &Args) -> CmdResult {
     let hour = args.u32_or("hour", 10)?;
     let out = args.string_or("out", "");
     let metrics_path = args.string_or("metrics", "");
-    let par = Parallelism::from_threads(args.usize_or("threads", 0)?);
+    let par = Parallelism::from_threads(thread_count(args, "threads")?);
     args.finish()?;
     if k < PLAN_MIN_K {
         return Err(format!(
@@ -250,7 +262,7 @@ pub fn simulate(args: &Args) -> CmdResult {
     let checkpoint_on_fault = args.bool_or("checkpoint-on-fault", false)?;
     let resume = args.bool_or("resume", false)?;
     let optimizer: OptimizerKind = args.string_or("optimizer", "cma").parse()?;
-    let par = Parallelism::from_threads(args.usize_or("threads", 0)?);
+    let par = Parallelism::from_threads(thread_count(args, "threads")?);
     let eval = EvalOptions::new().parallelism(par);
     args.finish()?;
     let capacity = start_lattice_capacity();
@@ -488,7 +500,7 @@ pub fn simulate(args: &Args) -> CmdResult {
 pub fn sweep(args: &Args) -> CmdResult {
     let spec_path = args.require("spec")?;
     let out = args.require("out")?;
-    let workers = args.usize_or("workers", 0)?;
+    let workers = thread_count(args, "workers")?;
     let resume = args.bool_or("resume", false)?;
     let metrics_path = args.string_or("metrics", "");
     let manifest_default = format!("{out}.manifest");
@@ -558,7 +570,7 @@ pub fn report(args: &Args) -> CmdResult {
     let plan_path = args.require("plan")?;
     let rc = args.f64_or("rc", 10.0)?;
     let hour = args.u32_or("hour", 10)?;
-    let par = Parallelism::from_threads(args.usize_or("threads", 0)?);
+    let par = Parallelism::from_threads(thread_count(args, "threads")?);
     args.finish()?;
 
     let dataset = load_trace(&trace)?;

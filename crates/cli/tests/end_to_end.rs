@@ -304,3 +304,44 @@ fn missing_input_files_are_named_with_their_flag() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn thread_counts_above_the_cap_are_rejected_before_any_work() {
+    // No input file exists, so a check that fired after reading one
+    // would report the missing file instead.
+    let dir = scratch("thread_cap");
+    let absent = dir.join("absent.json");
+    let absent = absent.to_str().unwrap();
+    let commands = [
+        (vec!["plan", "--trace", absent], "--threads"),
+        (vec!["simulate", "--minutes", "1"], "--threads"),
+        (
+            vec!["report", "--trace", absent, "--plan", absent],
+            "--threads",
+        ),
+        (
+            vec!["sweep", "--spec", absent, "--out", absent],
+            "--workers",
+        ),
+    ];
+    for (args, flag) in &commands {
+        for n in ["65", "100000"] {
+            let out = cps().args(args).args([flag, n]).output().unwrap();
+            assert!(!out.status.success(), "{args:?} {flag} {n} must fail");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("{flag} must be at most 64, got {n}")),
+                "{stderr}"
+            );
+        }
+    }
+    // The cap itself is accepted: these runs get as far as reading
+    // their (missing) input, which starts no thread.
+    for (args, flag) in commands.iter().filter(|(args, _)| args[0] != "simulate") {
+        let out = cps().args(args).args([flag, "64"]).output().unwrap();
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("cannot read --"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -78,16 +78,16 @@ pub enum Counter {
     /// Grid cells filled by incremental DDA spans (the remainder fell
     /// back to per-cell location/extrapolation).
     RasterCells,
-    /// Jobs handed to the persistent worker pool by `map_rows` (the
-    /// calling thread's own share is not counted).
+    /// Helper threads `map_rows` started: `workers − 1` per parallel
+    /// batch (the calling thread's own share is not counted).
     PoolTasks,
     /// Sweep jobs executed (simulated) by the batch engine this
     /// process; resumed jobs are counted separately.
     SweepJobs,
     /// Sweep jobs restored from a manifest instead of re-simulated.
     SweepResumed,
-    /// Simulation slots stepped through the stage pipeline (counted by
-    /// the engine's built-in observer adapter).
+    /// Simulation slots stepped through the stage sequence (counted
+    /// before the `SlotEnd` event reaches the observers).
     SimSteps,
 }
 
@@ -168,21 +168,21 @@ pub enum Phase {
     /// One batch-sweep job: a full simulation run plus its δ timeline
     /// and outcome extraction.
     SweepJob,
-    /// Stage pipeline: slot-start fault deaths (`FaultStage`).
+    /// Stage `fault`: slot-start fault deaths.
     StageFault,
-    /// Stage pipeline: slot-start world snapshot — alive set,
-    /// unit-disk graph, components (`SenseStage`).
+    /// Stage `sense`: slot-start world snapshot — alive set,
+    /// unit-disk graph, components.
     StageSense,
-    /// Stage pipeline: message-level fault draws and attempt
-    /// accounting (`ExchangeStage`).
+    /// Stage `exchange`: message-level fault draws and attempt
+    /// accounting.
     StageExchange,
-    /// Stage pipeline: partition-recovery overrides (`RecoveryStage`).
+    /// Stage `recovery`: partition-recovery overrides.
     StageRecovery,
-    /// Stage pipeline: CMA decisions, speed clamp, LCM repair, and
-    /// position application (`OptimizeStage`).
+    /// Stage `optimize`: CMA decisions, speed clamp, LCM repair, and
+    /// position application.
     StageOptimize,
-    /// Stage pipeline: clock advance, gossip scale, battery drain, and
-    /// report assembly (`RecordStage`).
+    /// Stage `record`: clock advance, gossip scale, and battery
+    /// drain.
     StageRecord,
 }
 

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{FaultState, SimSnapshot};
 use crate::fault::{FaultEvent, FaultPlan, FaultRuntime};
-use crate::stage::{EventBus, StagePipeline, StepCtx, StepEvent, StepObserver};
+use crate::stage::{self, StepObserver};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -495,11 +495,11 @@ pub(crate) fn own_reading(sensed: &[(Point2, f64)], center: Point2) -> Result<f6
 }
 
 impl<F: TimeVaryingField + Sync> Simulation<F> {
-    /// Advances the simulation by one time slot through the standard
-    /// [`StagePipeline`]: fault deaths, world snapshot, exchange-level
-    /// fault draws, recovery overrides, the CMA/LCM movement plan,
-    /// then end-of-slot records (see [`crate::stage`] for the stage
-    /// taxonomy and the determinism argument).
+    /// Advances the simulation by one time slot through the fixed stage
+    /// sequence: fault deaths, world snapshot, exchange-level fault
+    /// draws, recovery overrides, the CMA/LCM movement plan, then
+    /// end-of-slot records (see [`crate::stage`] for the stage taxonomy
+    /// and the determinism argument).
     ///
     /// # Errors
     ///
@@ -525,36 +525,7 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
         &mut self,
         observers: &mut [&mut dyn StepObserver<F>],
     ) -> Result<StepReport, CoreError> {
-        self.step_with(&mut StagePipeline::standard(), observers)
-    }
-
-    /// The full-control entry point: one slot through an explicit
-    /// pipeline, with observers. [`step`](Simulation::step) is this
-    /// with the standard pipeline and no observers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stage and observer failures.
-    pub fn step_with(
-        &mut self,
-        pipeline: &mut StagePipeline<F>,
-        observers: &mut [&mut dyn StepObserver<F>],
-    ) -> Result<StepReport, CoreError> {
-        let mut bus = EventBus::new(observers);
-        bus.emit(StepEvent::SlotStart {
-            slot: self.slot,
-            time: self.time,
-        })?;
-        let report = {
-            let mut ctx = StepCtx::new(self);
-            pipeline.run(&mut ctx, &mut bus)?;
-            ctx.into_report()?
-        };
-        bus.emit(StepEvent::SlotEnd {
-            sim: self,
-            report: &report,
-        })?;
-        Ok(report)
+        stage::run_slot(self, observers)
     }
 
     /// Steps until the clock reaches `t_end` (minutes), returning the

@@ -1,4 +1,4 @@
-//! Deterministic multi-scenario batch sweeps over the persistent pool.
+//! Deterministic multi-scenario batch sweeps on scoped threads.
 //!
 //! The paper's entire evaluation is a parameter sweep — δ and
 //! connectivity versus node count `k`, radii, faults, and time
@@ -6,7 +6,8 @@
 //! studies in one process: a [`SweepSpec`] names the axes (seeds × `k`
 //! × `Rc` × fault specs), [`SweepSpec::jobs`] expands the cartesian
 //! grid into a **fixed-order** job list, and [`run_sweep`] executes the
-//! jobs concurrently on the `cps-pool` persistent workers.
+//! jobs concurrently on the calling thread and `workers − 1` scoped
+//! threads.
 //!
 //! # Determinism
 //!
@@ -15,12 +16,9 @@
 //! uses:
 //!
 //! * every job runs its simulation with [`Parallelism::serial`]
-//!   internally — the outer jobs own the pool workers, so the inner
-//!   `map_rows` calls stay off the shared queue (a job blocked in
-//!   `run_with` while occupying every worker would deadlock the batch;
-//!   serial inner evaluation also composes with the adaptive serial
-//!   cutoff, which would pick the serial path for these small grids
-//!   anyway). Simulation results are bit-identical at any thread
+//!   internally: the outer workers already occupy the cores, and the
+//!   adaptive serial cutoff would pick the serial path for these small
+//!   grids anyway. Simulation results are bit-identical at any thread
 //!   count, so this costs nothing but wall-clock shape;
 //! * completed jobs land in a slot vector keyed by job index, and the
 //!   per-cell aggregates (mean/stddev/min/max) fold those slots in
@@ -41,11 +39,13 @@
 //! byte-identical to an uninterrupted run.
 
 use std::collections::BTreeMap;
+use std::panic::resume_unwind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use cps_core::{CoreError, CpsConfig, EvalOptions};
+use cps_field::par::MAX_WORKERS;
 use cps_field::{Parallelism, TimeVaryingField};
 use cps_geometry::{GridSpec, Point2, Rect};
 use serde::{Deserialize, Serialize};
@@ -694,27 +694,28 @@ fn run_job<F: TimeVaryingField + Sync>(
     })
 }
 
-/// Executes every job of `spec` and folds the fixed-order aggregates.
-///
-/// `workers` is the total concurrency (0 = all cores): the calling
-/// thread plus `workers − 1` persistent-pool workers all pull pending
-/// job indices from a shared cursor. `manifest_path` enables the
-/// crash-safe completion record; with `resume` set, a valid existing
-/// manifest's outcomes are replayed instead of recomputed (`resume`
-/// with no manifest file starts fresh). `make_field` builds each job's
-/// field from its seed — it must be deterministic for resume
-/// bit-identity to hold.
-///
 /// Locks `mutex`, recovering the data from a poisoned lock: a poisoned
-/// sweep mutex means a worker panicked mid-job, and that job's empty
-/// slot already surfaces as a typed error at fold time — compounding
-/// the panic across the surviving workers would only mask it.
+/// sweep mutex means a worker panicked mid-job, and that panic reaches
+/// the caller once the scope has joined every worker — compounding it
+/// across the surviving workers would only mask it, while recovering
+/// lets them finish and record their jobs in the manifest first.
 fn lock_or_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Executes every job of `spec` and folds the fixed-order aggregates.
+///
+/// `workers` is the total concurrency (0 = all cores, at most
+/// [`MAX_WORKERS`]): the calling thread plus `workers − 1` scoped
+/// threads all pull pending job indices from a shared cursor.
+/// `manifest_path` enables the crash-safe completion record; with
+/// `resume` set, a valid existing manifest's outcomes are replayed
+/// instead of recomputed (`resume` with no manifest file starts
+/// fresh). `make_field` builds each job's field from its seed — it
+/// must be deterministic for resume bit-identity to hold.
+///
 /// The result is **bit-identical** for any `workers` value and any job
 /// completion order, and across interrupt + resume.
 ///
@@ -766,13 +767,13 @@ where
     } else {
         workers
     };
-    let workers = workers.min(n.max(1));
+    let workers = workers.min(MAX_WORKERS).min(n.max(1));
 
     let slots = Mutex::new(slots);
     let manifest = Mutex::new(manifest);
     let next = AtomicUsize::new(0);
-    // The chunk-counter pattern from cps-pool: every participant —
-    // pool workers and the calling thread alike — pulls pending job
+    // The chunk-counter pattern of `map_rows`: every participant —
+    // scoped helpers and the calling thread alike — pulls pending job
     // indices until the cursor runs dry. Completion order is free;
     // results are keyed by index.
     let work = || loop {
@@ -796,14 +797,14 @@ where
         }
         lock_or_recover(&slots)[i] = Some(result);
     };
-    if workers <= 1 {
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
         work();
-    } else {
-        let pool_jobs: Vec<cps_pool::Job<'_>> = (0..workers - 1)
-            .map(|_| Box::new(work) as cps_pool::Job<'_>)
-            .collect();
-        cps_pool::run_with(pool_jobs, work);
-    }
+        for helper in helpers {
+            // Re-raise a job's own panic rather than the scope's generic one.
+            helper.join().unwrap_or_else(|p| resume_unwind(p));
+        }
+    });
 
     let slots = slots
         .into_inner()

@@ -52,8 +52,8 @@
 //! }
 //! ```
 //!
-//! The δ quadrature and the per-node sense/decide sweeps run on a
-//! row-sharded thread pool ([`Parallelism`](cps_field::Parallelism)
+//! The δ quadrature and the per-node sense/decide sweeps are sharded
+//! by rows across scoped threads ([`Parallelism`](cps_field::Parallelism)
 //! picks the worker count, `auto()` = all cores); results are
 //! bit-identical at any thread count. See `examples/` for end-to-end
 //! scenarios and `crates/bench/src/bin/` for the harnesses that
